@@ -54,20 +54,27 @@ pub const USAGE: &str = "usage: [--scale <f>] [--quick] [--threads <n>] [--trace
 
 impl Args {
     /// Parses `std::env::args`, printing a clear error (exit code 2) on
-    /// malformed input instead of a panic backtrace.
+    /// malformed input instead of a panic backtrace. A `--trace` directory
+    /// is created and probed here, before any run starts, so an unwritable
+    /// one fails with one `error:` line rather than a panic mid-sweep.
     pub fn parse() -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         if argv.iter().any(|a| a == "--help" || a == "-h") {
             eprintln!("{USAGE}");
             std::process::exit(0);
         }
-        match Self::parse_from(argv.into_iter()) {
+        let args = match Self::parse_from(argv.into_iter()) {
             Ok(args) => args,
             Err(e) => {
                 eprintln!("error: {e}\n{USAGE}");
                 std::process::exit(2);
             }
+        };
+        if let Err(e) = args.trace.as_deref().map_or(Ok(()), probe_trace_dir) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
+        args
     }
 
     /// Parses an argument list (without the program name).
@@ -77,7 +84,9 @@ impl Args {
     /// Returns a human-readable message on an unknown flag, a missing
     /// value, or an invalid value — notably `--threads 0`, which is
     /// rejected here rather than silently clamped to 1 deep inside
-    /// [`harness::pool::run_ordered`].
+    /// [`harness::pool::run_ordered`], and a `--scale` that is not a
+    /// finite positive number, which would otherwise run meaningless
+    /// floor-sized workloads and overwrite the committed results.
     pub fn parse_from(mut it: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut args = Args {
             scale: 1.0,
@@ -91,9 +100,14 @@ impl Args {
             match a.as_str() {
                 "--scale" => {
                     let v = it.next().ok_or("--scale needs a value")?;
-                    args.scale = v
-                        .parse()
-                        .map_err(|_| format!("--scale needs a number, got `{v}`"))?;
+                    args.scale = match v.parse::<f64>() {
+                        Ok(s) if s.is_finite() && s > 0.0 => s,
+                        _ => {
+                            return Err(format!(
+                                "--scale needs a finite number greater than 0, got `{v}`"
+                            ))
+                        }
+                    };
                 }
                 "--quick" => args.quick = true,
                 "--trace" => {
@@ -156,6 +170,19 @@ impl Args {
     pub fn sweep(&self, name: &str) -> Sweep {
         Sweep::new(name, self.threads)
     }
+}
+
+/// Creates `dir` and checks a file can be written in it.
+///
+/// # Errors
+///
+/// A one-line message naming the directory and the I/O error.
+fn probe_trace_dir(dir: &std::path::Path) -> Result<(), String> {
+    let probe = dir.join(".trace-probe");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&probe, b""))
+        .and_then(|()| std::fs::remove_file(&probe))
+        .map_err(|e| format!("--trace directory `{}` is not writable: {e}", dir.display()))
 }
 
 /// A console + CSV report writer.
@@ -334,6 +361,40 @@ mod tests {
         assert!(parse(&["--snapshot-dir"]).is_err());
         let err = parse(&["--resume"]).unwrap_err();
         assert!(err.contains("--snapshot-dir"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn parse_from_rejects_non_finite_and_non_positive_scale() {
+        let parse = |argv: &[&str]| Args::parse_from(argv.iter().map(|s| (*s).to_owned()));
+        for bad in ["-1", "0", "-0.0", "NaN", "nan", "inf", "-inf", "1e999", "x"] {
+            let err = parse(&["--scale", bad]).unwrap_err();
+            assert!(
+                err.contains("finite number greater than 0"),
+                "`{bad}`: unhelpful error: {err}"
+            );
+        }
+        assert!(parse(&["--scale"]).is_err());
+        assert!((parse(&["--scale", "1e-3"]).unwrap().scale - 1e-3).abs() < 1e-15);
+        assert!((parse(&["--scale", "4"]).unwrap().scale - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probe_trace_dir_creates_writable_and_rejects_path_under_a_file() {
+        let root = std::env::temp_dir().join(format!("tta-bench-probe-{}", std::process::id()));
+        let nested = root.join("a/b");
+        probe_trace_dir(&nested).expect("creatable directory");
+        assert!(nested.is_dir());
+        assert_eq!(
+            std::fs::read_dir(&nested).unwrap().count(),
+            0,
+            "probe removed"
+        );
+        let file = root.join("plain-file");
+        std::fs::write(&file, b"x").unwrap();
+        let err = probe_trace_dir(&file.join("traces")).unwrap_err();
+        assert!(err.contains("not writable"), "unhelpful error: {err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -94,6 +94,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn all_lists_units_in_declaration_order() {
+        // TTA+ indexes its unit pools by `OpUnit as usize` and walks them
+        // in `ALL` order, so the two orders must agree.
+        for (i, u) in OpUnit::ALL.into_iter().enumerate() {
+            assert_eq!(u as usize, i, "{u}");
+        }
+    }
+
+    #[test]
     fn table_i_latencies() {
         assert_eq!(OpUnit::Vec3AddSub.latency(), 4);
         assert_eq!(OpUnit::Multiplier.latency(), 4);

@@ -103,7 +103,9 @@ impl ProgramStats {
 #[derive(Debug)]
 pub struct TtaPlusBackend {
     cfg: TtaPlusConfig,
-    units: HashMap<OpUnit, Vec<PipelinedUnit>>,
+    /// OP unit pools indexed by `OpUnit as usize` (declaration order, which
+    /// is `OpUnit::ALL` order); an unconfigured unit has an empty pool.
+    units: [Vec<PipelinedUnit>; OpUnit::ALL.len()],
     crossbar: Vec<PipelinedUnit>,
     programs: Vec<UopProgram>,
     program_stats: Vec<ProgramStats>,
@@ -136,18 +138,14 @@ impl TtaPlusBackend {
                 p.name()
             );
         }
-        let mut units = HashMap::new();
-        for u in OpUnit::ALL {
+        let units = OpUnit::ALL.map(|u| {
             if u == OpUnit::Sqrt && !cfg.with_sqrt {
-                continue;
+                return Vec::new();
             }
-            units.insert(
-                u,
-                (0..cfg.units_per_type)
-                    .map(|_| PipelinedUnit::new(u.latency()))
-                    .collect(),
-            );
-        }
+            (0..cfg.units_per_type)
+                .map(|_| PipelinedUnit::new(u.latency()))
+                .collect()
+        });
         let crossbar = (0..cfg.crossbar_parallel_transfers)
             .map(|_| PipelinedUnit::new(cfg.crossbar_hop_latency))
             .collect();
@@ -204,8 +202,8 @@ impl TtaPlusBackend {
 
     fn run_program_indexed(&mut self, which: ProgramRef, now: u64) -> u64 {
         let program = match which {
-            ProgramRef::Custom(i) => self.programs[i].clone(),
-            ProgramRef::Builtin(name) => self.builtin[name].clone(),
+            ProgramRef::Custom(i) => &self.programs[i],
+            ProgramRef::Builtin(name) => &self.builtin[name],
         };
         let mut t = now;
         let mut icnt = 0u64;
@@ -219,14 +217,10 @@ impl TtaPlusBackend {
             let after_hop = xb.schedule(t);
             icnt += after_hop - t;
             // Execute on the (possibly contended) OP unit.
-            let pool = self
-                .units
-                .get_mut(&uop.unit)
-                .unwrap_or_else(|| panic!("no {} unit configured", uop.unit));
-            let unit = pool
+            let unit = self.units[uop.unit as usize]
                 .iter_mut()
                 .min_by_key(|u| u.next_free(after_hop))
-                .expect("unit pool non-empty");
+                .unwrap_or_else(|| panic!("no {} unit configured", uop.unit));
             t = unit.schedule(after_hop);
         }
         let stats = match which {
@@ -306,10 +300,10 @@ impl IntersectionBackend for TtaPlusBackend {
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
         let mut out: Vec<(String, UnitStats)> = Vec::new();
-        for u in OpUnit::ALL {
-            let Some(pool) = self.units.get(&u) else {
+        for (u, pool) in OpUnit::ALL.into_iter().zip(&self.units) {
+            if pool.is_empty() {
                 continue;
-            };
+            }
             let mut s = UnitStats::default();
             for unit in pool {
                 s.invocations += unit.stats.invocations;
@@ -341,11 +335,10 @@ impl IntersectionBackend for TtaPlusBackend {
             )
         };
         let mut bag = StateBag::new();
-        // OP unit pools keyed by unit name, iterated in the fixed
-        // `OpUnit::ALL` order (the HashMap's own order is nondeterministic).
+        // Configured OP unit pools keyed by unit name, in `OpUnit::ALL` order.
         let mut units = StateBag::new();
-        for u in OpUnit::ALL {
-            if let Some(pool) = self.units.get(&u) {
+        for (u, pool) in OpUnit::ALL.into_iter().zip(&self.units) {
+            if !pool.is_empty() {
                 units.put(u.name(), rta::units::export_units(pool));
             }
         }
@@ -396,8 +389,8 @@ impl IntersectionBackend for TtaPlusBackend {
             })
         };
         let units_bag = bag.bag("units")?;
-        for u in OpUnit::ALL {
-            if let Some(pool) = self.units.get_mut(&u) {
+        for (u, pool) in OpUnit::ALL.into_iter().zip(&mut self.units) {
+            if !pool.is_empty() {
                 import_units(pool, units_bag, u.name())?;
             }
         }

@@ -42,6 +42,7 @@ pub mod absint;
 pub mod accel;
 pub mod config;
 pub mod gpu;
+pub mod hash;
 pub mod isa;
 pub mod kernel;
 pub mod mem;

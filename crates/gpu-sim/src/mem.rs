@@ -8,8 +8,9 @@
 //! parallelism, and DRAM bandwidth saturation — without a full event queue.
 
 use crate::config::MemConfig;
+use crate::hash::U64Map;
 use crate::snapshot::{BagError, StateBag};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use trace::{TraceHandle, Track};
 
 /// Byte-addressable functional memory with a bump allocator.
@@ -239,23 +240,50 @@ impl DramStats {
     }
 }
 
+/// End-of-list marker for [`LruNode`] links.
+const NIL: u32 = u32::MAX;
+
+/// One resident line of a [`FullyAssocCache`].
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    line: u64,
+    /// Stamp of the last touch.
+    stamp: u64,
+    /// Neighbour slot towards LRU (`NIL` at the head).
+    prev: u32,
+    /// Neighbour slot towards MRU (`NIL` at the tail).
+    next: u32,
+}
+
 /// Fully-associative LRU tag store (the paper's L1).
+///
+/// A slab of at most `capacity_lines` nodes on an intrusive doubly-linked
+/// list ordered LRU (`head`) to MRU (`tail`), plus a line → slot index.
+/// Every touch takes the next stamp and moves its node to the tail, so
+/// list order is stamp order, and a hit, a fill and an eviction each cost
+/// one index probe plus O(1) relinking.
 #[derive(Debug)]
 struct FullyAssocCache {
     capacity_lines: usize,
-    /// line -> lru stamp
-    lines: HashMap<u64, u64>,
-    /// lru stamp -> line (ordered for O(log n) eviction)
-    order: BTreeMap<u64, u64>,
+    nodes: Vec<LruNode>,
+    index: U64Map<u32>,
+    head: u32,
+    tail: u32,
     stamp: u64,
 }
 
 impl FullyAssocCache {
     fn new(capacity_lines: usize) -> Self {
+        assert!(
+            capacity_lines < NIL as usize,
+            "L1 of {capacity_lines} lines exceeds the u32 slot space"
+        );
         FullyAssocCache {
             capacity_lines,
-            lines: HashMap::new(),
-            order: BTreeMap::new(),
+            nodes: Vec::new(),
+            index: U64Map::default(),
+            head: NIL,
+            tail: NIL,
             stamp: 0,
         }
     }
@@ -264,18 +292,61 @@ impl FullyAssocCache {
     /// evicting LRU if needed.
     fn access(&mut self, line: u64) -> bool {
         self.stamp += 1;
-        if let Some(old) = self.lines.insert(line, self.stamp) {
-            self.order.remove(&old);
-            self.order.insert(self.stamp, line);
+        if let Some(&slot) = self.index.get(&line) {
+            self.nodes[slot as usize].stamp = self.stamp;
+            if slot != self.tail {
+                self.unlink(slot);
+                self.push_tail(slot);
+            }
             return true;
         }
-        self.order.insert(self.stamp, line);
-        if self.lines.len() > self.capacity_lines {
-            let (&oldest, &victim) = self.order.iter().next().expect("non-empty");
-            self.order.remove(&oldest);
-            self.lines.remove(&victim);
+        if self.capacity_lines == 0 {
+            return false;
         }
+        let node = LruNode {
+            line,
+            stamp: self.stamp,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.nodes.len() < self.capacity_lines {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let victim = self.head;
+            self.unlink(victim);
+            self.index.remove(&self.nodes[victim as usize].line);
+            self.nodes[victim as usize] = node;
+            victim
+        };
+        self.push_tail(slot);
+        self.index.insert(line, slot);
         false
+    }
+
+    /// Detaches `slot` from the list.
+    fn unlink(&mut self, slot: u32) {
+        let LruNode { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends a detached `slot` at the MRU end.
+    fn push_tail(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 }
 
@@ -370,10 +441,10 @@ pub struct MemorySystem {
     l1_mshr: Vec<MshrFile>,
     l1_port_busy: Vec<u64>,
     /// In-flight L1 fills per SM: line -> completion (for merge).
-    l1_pending: Vec<HashMap<u64, u64>>,
+    l1_pending: Vec<U64Map<u64>>,
     l2: SetAssocCache,
     l2_mshr: MshrFile,
-    l2_pending: HashMap<u64, u64>,
+    l2_pending: U64Map<u64>,
     dram_channel_busy: Vec<f64>,
     trace: TraceHandle,
     /// Monotone id shared by memory and DRAM trace spans.
@@ -398,10 +469,10 @@ impl MemorySystem {
                 .collect(),
             l1_mshr: (0..num_sms).map(|_| MshrFile::new(cfg.l1_mshrs)).collect(),
             l1_port_busy: vec![0; num_sms],
-            l1_pending: (0..num_sms).map(|_| HashMap::new()).collect(),
+            l1_pending: (0..num_sms).map(|_| U64Map::default()).collect(),
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.line_size, cfg.l2_ways),
             l2_mshr: MshrFile::new(cfg.l2_mshrs),
-            l2_pending: HashMap::new(),
+            l2_pending: U64Map::default(),
             dram_channel_busy: vec![0.0; cfg.dram_channels],
             trace: TraceHandle::default(),
             next_req_id: 0,
@@ -556,23 +627,63 @@ impl MemorySystem {
 // equal states export equal bags; heaps are exported as sorted vectors
 // (pop order is by value, so heap-internal layout is not state).
 impl FullyAssocCache {
+    /// Walks the list from LRU to MRU.
+    fn iter_lru(&self) -> impl Iterator<Item = &LruNode> {
+        std::iter::successors(
+            (self.head != NIL).then(|| &self.nodes[self.head as usize]),
+            |n| (n.next != NIL).then(|| &self.nodes[n.next as usize]),
+        )
+    }
+
     fn export_state(&self) -> StateBag {
         let mut bag = StateBag::new();
         bag.put_u64("stamp", self.stamp);
-        // The BTreeMap `order` (stamp -> line) is the canonical form; the
-        // `lines` HashMap is its inverse and is rebuilt on import.
-        bag.put_u64_list("order", self.order.iter().flat_map(|(&s, &l)| [s, l]));
+        // `(stamp, line)` pairs from LRU to MRU, i.e. by ascending stamp.
+        bag.put_u64_list("order", self.iter_lru().flat_map(|n| [n.stamp, n.line]));
         bag
     }
 
+    /// Rebuilds the list from exported `(stamp, line)` pairs. A bag that no
+    /// export could have produced (odd length, more lines than fit, stamps
+    /// not strictly ascending or past `stamp`, a repeated line) is rejected
+    /// and leaves the cache untouched.
     fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
         let flat = bag.u64_list("order")?;
+        let stamp = bag.u64("stamp")?;
         if !flat.len().is_multiple_of(2) {
             return Err(BagError::Mismatch("odd lru-order pair list".into()));
         }
-        self.stamp = bag.u64("stamp")?;
-        self.order = flat.chunks(2).map(|p| (p[0], p[1])).collect();
-        self.lines = flat.chunks(2).map(|p| (p[1], p[0])).collect();
+        if flat.len() / 2 > self.capacity_lines {
+            return Err(BagError::Mismatch(format!(
+                "lru order holds {} lines, L1 has {}",
+                flat.len() / 2,
+                self.capacity_lines
+            )));
+        }
+        let mut rebuilt = FullyAssocCache::new(self.capacity_lines);
+        let mut last = None;
+        for pair in flat.chunks_exact(2) {
+            let (s, line) = (pair[0], pair[1]);
+            if last.is_some_and(|l| s <= l) || s > stamp {
+                return Err(BagError::Mismatch(format!(
+                    "lru stamp {s} out of order (after {last:?}, cache stamp {stamp})"
+                )));
+            }
+            last = Some(s);
+            let slot = rebuilt.nodes.len() as u32;
+            if rebuilt.index.insert(line, slot).is_some() {
+                return Err(BagError::Mismatch(format!("line {line} listed twice")));
+            }
+            rebuilt.nodes.push(LruNode {
+                line,
+                stamp: s,
+                prev: NIL,
+                next: NIL,
+            });
+            rebuilt.push_tail(slot);
+        }
+        rebuilt.stamp = stamp;
+        *self = rebuilt;
         Ok(())
     }
 }
@@ -640,13 +751,13 @@ impl MshrFile {
     }
 }
 
-fn sorted_pairs(map: &HashMap<u64, u64>) -> Vec<u64> {
+fn sorted_pairs(map: &U64Map<u64>) -> Vec<u64> {
     let mut pairs: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
     pairs.sort_unstable();
     pairs.into_iter().flat_map(|(k, v)| [k, v]).collect()
 }
 
-fn pairs_into_map(flat: Vec<u64>, name: &str) -> Result<HashMap<u64, u64>, BagError> {
+fn pairs_into_map(flat: Vec<u64>, name: &str) -> Result<U64Map<u64>, BagError> {
     if !flat.len().is_multiple_of(2) {
         return Err(BagError::Mismatch(format!("odd pair list `{name}`")));
     }
@@ -992,6 +1103,126 @@ mod tests {
         assert_eq!(back.read_u32(buf), 0xdead_beef);
         let next = back.alloc(16, 16);
         assert_eq!(next, m.alloc(16, 16), "bump allocator position restored");
+    }
+
+    /// The L1 as first written: a line → stamp map plus a stamp → line
+    /// B-tree. The reference the slab-and-list [`FullyAssocCache`] must
+    /// match access for access and bag for bag.
+    struct RefLru {
+        capacity_lines: usize,
+        lines: std::collections::HashMap<u64, u64>,
+        order: std::collections::BTreeMap<u64, u64>,
+        stamp: u64,
+    }
+
+    impl RefLru {
+        fn new(capacity_lines: usize) -> Self {
+            RefLru {
+                capacity_lines,
+                lines: Default::default(),
+                order: Default::default(),
+                stamp: 0,
+            }
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            self.stamp += 1;
+            if let Some(old) = self.lines.insert(line, self.stamp) {
+                self.order.remove(&old);
+                self.order.insert(self.stamp, line);
+                return true;
+            }
+            self.order.insert(self.stamp, line);
+            if self.lines.len() > self.capacity_lines {
+                let (&oldest, &victim) = self.order.iter().next().expect("non-empty");
+                self.order.remove(&oldest);
+                self.lines.remove(&victim);
+            }
+            false
+        }
+
+        fn export_state(&self) -> StateBag {
+            let mut bag = StateBag::new();
+            bag.put_u64("stamp", self.stamp);
+            bag.put_u64_list("order", self.order.iter().flat_map(|(&s, &l)| [s, l]));
+            bag
+        }
+    }
+
+    #[test]
+    fn slab_lru_matches_reference_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for capacity in [0usize, 1, 2, 7, 64] {
+            // Footprints below, at and above capacity.
+            for footprint in [capacity / 2 + 1, capacity.max(1), 2 * capacity + 3] {
+                for seed in 0..4u64 {
+                    let mut rng = StdRng::seed_from_u64(seed * 1000 + footprint as u64);
+                    let mut fast = FullyAssocCache::new(capacity);
+                    let mut reference = RefLru::new(capacity);
+                    for i in 0..2000 {
+                        // Spread lines over high bits too, like real addresses.
+                        let line = rng.random_range(0..footprint as u64) * 0x1_0000_0001;
+                        assert_eq!(
+                            fast.access(line),
+                            reference.access(line),
+                            "cap {capacity} footprint {footprint} seed {seed} access {i}"
+                        );
+                        if i % 97 == 0 {
+                            assert_eq!(fast.export_state(), reference.export_state());
+                            // A restored copy keeps behaving identically.
+                            let mut back = FullyAssocCache::new(capacity);
+                            back.import_state(&fast.export_state()).unwrap();
+                            fast = back;
+                        }
+                    }
+                    assert_eq!(fast.export_state(), reference.export_state());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_lru_rejects_hostile_bags_and_stays_intact() {
+        let mut cache = FullyAssocCache::new(4);
+        for line in [10, 11, 12, 10] {
+            cache.access(line);
+        }
+        let good = cache.export_state();
+        let bag = |stamp: u64, order: &[u64]| {
+            let mut b = StateBag::new();
+            b.put_u64("stamp", stamp);
+            b.put_u64_list("order", order.iter().copied());
+            b
+        };
+        let hostile = [
+            ("odd length", bag(9, &[1, 10, 2])),
+            ("duplicate line", bag(9, &[1, 10, 2, 10])),
+            ("duplicate stamp", bag(9, &[1, 10, 1, 11])),
+            ("descending stamps", bag(9, &[2, 10, 1, 11])),
+            ("stamp past cache stamp", bag(1, &[1, 10, 2, 11])),
+            (
+                "more than capacity",
+                bag(9, &[1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
+            ),
+        ];
+        for (what, b) in &hostile {
+            assert!(
+                matches!(cache.import_state(b), Err(BagError::Mismatch(_))),
+                "{what} must be rejected"
+            );
+            assert_eq!(cache.export_state(), good, "{what} left the cache changed");
+        }
+        // The list is still walkable end to end: a full sweep of fresh
+        // lines evicts exactly the four residents in LRU order.
+        let mut reference = RefLru::new(4);
+        for line in [10, 11, 12, 10] {
+            reference.access(line);
+        }
+        for line in [11, 20, 21, 22, 23, 12, 10, 11] {
+            assert_eq!(cache.access(line), reference.access(line), "line {line}");
+        }
+        assert_eq!(cache.export_state(), reference.export_state());
     }
 
     #[test]

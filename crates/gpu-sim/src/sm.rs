@@ -82,10 +82,11 @@ pub struct Sm {
     /// Per-slot scoreboard wake cycle; `Some` while the slot sleeps on
     /// the heap (event-driven mode only).
     blocked_until: Vec<Option<u64>>,
-    /// Per-slot memory-stall horizon cached at block time: while
-    /// `now < mem_until[slot]`, the sleeping warp's stall is attributable
-    /// to a pending load.
-    mem_until: Vec<u64>,
+    /// Max memory-stall horizon (`mem_at`) over warps put to sleep since
+    /// the wake heap last drained. `now < mem_horizon` is exactly "some
+    /// sleeping warp waits on a load" (DESIGN.md §12): a woken warp's
+    /// horizon is at most its wake cycle, so no later `now` is below it.
+    mem_horizon: u64,
     /// Min-heap of `(wake_cycle, slot)` over sleeping warps. Entries are
     /// always live: a slot is pushed at most once per block and removed
     /// exactly when it wakes.
@@ -107,7 +108,7 @@ impl Sm {
             resident: 0,
             awake: 0,
             blocked_until: vec![None; max_warps],
-            mem_until: vec![0; max_warps],
+            mem_horizon: 0,
             wake_heap: BinaryHeap::with_capacity(max_warps),
             coalesce: Vec::with_capacity(32),
         }
@@ -185,6 +186,9 @@ impl Sm {
                 self.blocked_until[slot] = None;
                 self.awake += 1;
             }
+            if self.wake_heap.is_empty() {
+                self.mem_horizon = 0;
+            }
             if self.awake == 0 {
                 // Every Ready warp sleeps on the heap (the rest wait on
                 // the accelerator): nothing can issue, and the heap holds
@@ -193,10 +197,7 @@ impl Sm {
                 return IssueResult {
                     issued: false,
                     next_wake: self.wake_heap.peek().map(|&Reverse((w, _))| w),
-                    mem_stall: self
-                        .wake_heap
-                        .iter()
-                        .any(|&Reverse((_, s))| now < self.mem_until[s]),
+                    mem_stall: now < self.mem_horizon,
                 };
             }
         }
@@ -258,7 +259,7 @@ impl Sm {
                     // warp cannot change while blocked, so both cached
                     // cycles stay exact (module docs).
                     self.blocked_until[slot] = Some(ready_at);
-                    self.mem_until[slot] = mem_at;
+                    self.mem_horizon = self.mem_horizon.max(mem_at);
                     self.wake_heap.push(Reverse((ready_at, slot)));
                     self.awake -= 1;
                 } else {
@@ -393,10 +394,7 @@ impl Sm {
             if let Some(&Reverse((w, _))) = self.wake_heap.peek() {
                 note_wake(w);
             }
-            mem_stall |= self
-                .wake_heap
-                .iter()
-                .any(|&Reverse((_, s))| now < self.mem_until[s]);
+            mem_stall |= now < self.mem_horizon;
         }
         IssueResult {
             issued: false,

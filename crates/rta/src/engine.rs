@@ -18,9 +18,10 @@
 //! how the same engine serves the baseline RTA, TTA and TTA+.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use gpu_sim::accel::{AccelCtx, Accelerator, TraversalRequest};
+use gpu_sim::hash::U64Map;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::snapshot::{BagError, StateBag};
 
@@ -173,7 +174,7 @@ pub struct TraversalEngine {
     semantics: Vec<Box<dyn TraversalSemantics>>,
     rays: Vec<Option<RayOp>>,
     free_slots: Vec<usize>,
-    warp_outstanding: HashMap<u64, usize>,
+    warp_outstanding: U64Map<usize>,
     fetch_queue: VecDeque<FetchReq>,
     /// Speculative prefetch requests: issued only when no demand fetch is
     /// eligible this cycle.
@@ -182,7 +183,7 @@ pub struct TraversalEngine {
     /// Response-FIFO arbiter: one returned node is decoded per cycle
     /// (the operation arbiter of Fig. 4a).
     next_arbiter_slot: u64,
-    inflight: HashMap<u64, u64>,
+    inflight: U64Map<u64>,
     events: BinaryHeap<Reverse<(u64, usize, u8)>>,
     completed: Vec<u64>,
     traversals: u64,
@@ -215,12 +216,12 @@ impl TraversalEngine {
             semantics,
             rays: (0..capacity).map(|_| None).collect(),
             free_slots: (0..capacity).rev().collect(),
-            warp_outstanding: HashMap::new(),
+            warp_outstanding: U64Map::default(),
             fetch_queue: VecDeque::new(),
             prefetch_queue: VecDeque::new(),
             next_issue_slot: 0,
             next_arbiter_slot: 0,
-            inflight: HashMap::new(),
+            inflight: U64Map::default(),
             events: BinaryHeap::new(),
             completed: Vec::new(),
             traversals: 0,
