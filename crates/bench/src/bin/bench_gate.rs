@@ -1,6 +1,6 @@
 //! Perf-trajectory gatekeeper for the committed `BENCH_fig13.json` log.
 //!
-//! Three subcommands (see `tta_bench::bench_log` for the file format):
+//! Three subcommands (see `harness::bench_log` for the file format):
 //!
 //! * `validate <log.json>` — parse + schema-check the committed log.
 //! * `record <log.json> --mode <m> --date <YYYY-MM-DD> (--timing <sidecar>
@@ -18,7 +18,7 @@
 
 use std::process::exit;
 
-use tta_bench::bench_log::{sweep_wall_seconds, BenchEntry, BenchLog, MODES};
+use harness::bench_log::{sweep_wall_seconds, BenchEntry, BenchLog, MODES};
 
 const USAGE: &str = "usage: bench_gate <validate|record|check> <log.json> [options]
   validate <log.json>
@@ -68,18 +68,24 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.wall_seconds = Some(
                     value("--wall-seconds")
                         .parse()
-                        .unwrap_or_else(|_| fail("--wall-seconds must be a number")),
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| fail("--wall-seconds must be a positive number")),
                 )
             }
             "--threads" => {
                 o.threads = value("--threads")
                     .parse()
-                    .unwrap_or_else(|_| fail("--threads must be an integer"))
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| fail("--threads must be a positive integer"))
             }
             "--max-regress" => {
                 o.max_regress = value("--max-regress")
                     .parse()
-                    .unwrap_or_else(|_| fail("--max-regress must be a number"))
+                    .ok()
+                    .filter(|f: &f64| f.is_finite() && *f >= 0.0)
+                    .unwrap_or_else(|| fail("--max-regress must be a non-negative number"))
             }
             other => fail(&format!("unknown flag {other:?}\n{USAGE}")),
         }

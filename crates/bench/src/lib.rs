@@ -20,8 +20,6 @@
 //! * [`activity_of`] — adapts a [`workloads::RunResult`] into the energy
 //!   model's [`energy::ActivityCounts`].
 
-pub mod bench_log;
-
 use energy::ActivityCounts;
 use workloads::RunResult;
 

@@ -8,10 +8,10 @@ use std::sync::Arc;
 use gpu_sim::GpuConfig;
 use serve::{build_service, BatchPolicy, BatchService, ServeBackend, ServeInputs, ServeWorkload};
 use workloads::runner::sum_stats;
-use workloads::{AccelReport, CacheableExperiment, RunResult};
+use workloads::{CacheableExperiment, RunResult};
 
 use crate::autoscale::AutoscaleConfig;
-use crate::cluster::{run_fleet, FleetConfig};
+use crate::cluster::FleetConfig;
 use crate::metrics::summarize;
 use crate::router::RouterPolicy;
 use crate::session::FleetSession;
@@ -107,74 +107,16 @@ impl FleetExperiment {
 
     /// Runs the fleet experiment: stands up `devices` warm services over
     /// one shared tree image, generates the arrival stream and class mix,
-    /// drives [`run_fleet`], and folds the outcome into a [`RunResult`]
-    /// whose `fleet` section carries the cluster summary.
+    /// drives the cluster loop, and folds the outcome into a [`RunResult`]
+    /// whose `fleet` section carries the cluster summary. Writes a Chrome
+    /// trace when `trace_dir` is set.
     ///
     /// # Panics
     ///
     /// Panics when `verify` is set and a sampled batch diverges from the
     /// host oracle, or when attached inputs mismatch the workload.
     pub fn run(&self) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
-        let max_batch = self.policy.max_batch(self.gpu.warp_width);
-        let mut services: Vec<Box<dyn BatchService>> = (0..self.devices)
-            .map(|_| {
-                build_service(
-                    &self.workload,
-                    self.backend,
-                    &inputs,
-                    &self.gpu,
-                    max_batch,
-                    self.verify,
-                )
-            })
-            .collect();
-        let arrivals =
-            workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
-        let classes =
-            workloads::gen::class_assignments(self.offered, &self.slo.weights(), self.seed);
-        let (trace, sink) = workloads::runner::trace_pair(self.trace_dir.as_deref());
-        let cfg = FleetConfig {
-            policy: self.policy.clone(),
-            router: self.router,
-            router_seed: self.seed,
-            queue_capacity: self.queue_capacity,
-            shards: self.shards.clone(),
-            shard_miss_penalty: self.shard_miss_penalty,
-            slo: self.slo.clone(),
-            autoscale: self.autoscale.clone(),
-            trace,
-        };
-        let outcome = run_fleet(&mut services, &cfg, &arrivals, &classes);
-        let backend_label = services[0].label();
-        let summary = summarize(&cfg, &backend_label, self.arrival_mean_cycles, &outcome);
-        let label = format!(
-            "fleet {} {} {} d{} {} mean{}",
-            self.workload.name(),
-            backend_label,
-            self.router.label(),
-            self.devices,
-            self.policy.label(),
-            self.arrival_mean_cycles
-        );
-        if let (Some(dir), Some(sink)) = (&self.trace_dir, &sink) {
-            workloads::runner::write_trace(dir, &label, sink);
-        }
-        let all_stats: Vec<_> = outcome
-            .per_device
-            .iter()
-            .flat_map(|d| d.launch_stats.iter().cloned())
-            .collect();
-        RunResult {
-            label,
-            stats: sum_stats(&all_stats),
-            accel: merge_accel(services.iter().filter_map(|s| s.accel_report())),
-            serve: None,
-            fleet: Some(summary),
-        }
+        self.drive(1, self.trace_dir.as_deref())
     }
 
     /// Runs the fleet as `segments` horizon shards: the virtual horizon is
@@ -197,6 +139,13 @@ impl FleetExperiment {
     /// mismatch the workload.
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
+        self.drive(segments, None)
+    }
+
+    /// The one driver behind [`run`](Self::run) and
+    /// [`run_sharded`](Self::run_sharded): `segments` horizon shards,
+    /// traced into `trace_dir` when given.
+    fn drive(&self, segments: usize, trace_dir: Option<&std::path::Path>) -> RunResult {
         let inputs = match &self.inputs {
             Some(i) => Arc::clone(i),
             None => Arc::new(self.build_inputs()),
@@ -220,6 +169,7 @@ impl FleetExperiment {
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
         let classes =
             workloads::gen::class_assignments(self.offered, &self.slo.weights(), self.seed);
+        let (trace, sink) = workloads::runner::trace_pair(trace_dir);
         let cfg = FleetConfig {
             policy: self.policy.clone(),
             router: self.router,
@@ -229,7 +179,7 @@ impl FleetExperiment {
             shard_miss_penalty: self.shard_miss_penalty,
             slo: self.slo.clone(),
             autoscale: self.autoscale.clone(),
-            trace: trace::TraceHandle::default(),
+            trace,
         };
         let mut services = build_fleet();
         let mut session = FleetSession::new(
@@ -285,6 +235,9 @@ impl FleetExperiment {
             self.policy.label(),
             self.arrival_mean_cycles
         );
+        if let (Some(dir), Some(sink)) = (trace_dir, &sink) {
+            workloads::runner::write_trace(dir, &label, sink);
+        }
         let all_stats: Vec<_> = outcome
             .per_device
             .iter()
@@ -293,55 +246,17 @@ impl FleetExperiment {
         RunResult {
             label,
             stats: sum_stats(&all_stats),
-            accel: merge_accel(services.iter().filter_map(|s| s.accel_report())),
+            accel: services
+                .iter()
+                .filter_map(|s| s.accel_report())
+                .reduce(|mut acc, r| {
+                    acc.merge(&r);
+                    acc
+                }),
             serve: None,
             fleet: Some(summary),
         }
     }
-}
-
-/// Sums accelerator reports across the fleet's devices (the same fold
-/// `harvest_accel` applies across SMs, one level up).
-fn merge_accel(reports: impl Iterator<Item = AccelReport>) -> Option<AccelReport> {
-    let mut acc: Option<AccelReport> = None;
-    for r in reports {
-        let Some(a) = acc.as_mut() else {
-            acc = Some(r);
-            continue;
-        };
-        a.engine.warps_accepted += r.engine.warps_accepted;
-        a.engine.rays_completed += r.engine.rays_completed;
-        a.engine.node_fetches += r.engine.node_fetches;
-        a.engine.fetch_merges += r.engine.fetch_merges;
-        a.engine.nodes_processed += r.engine.nodes_processed;
-        a.engine.warp_buffer_accesses += r.engine.warp_buffer_accesses;
-        a.engine.prefetches += r.engine.prefetches;
-        a.engine.busy_cycles += r.engine.busy_cycles;
-        a.shader_lane_instructions += r.shader_lane_instructions;
-        a.traversals += r.traversals;
-        for (name, s) in r.units {
-            match a.units.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => {
-                    t.invocations += s.invocations;
-                    t.busy_cycles += s.busy_cycles;
-                    t.peak_in_flight = t.peak_in_flight.max(s.peak_in_flight);
-                    t.total_latency += s.total_latency;
-                }
-                None => a.units.push((name, s)),
-            }
-        }
-        for (name, s) in r.programs {
-            match a.programs.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => {
-                    t.invocations += s.invocations;
-                    t.total_latency += s.total_latency;
-                    t.icnt_cycles += s.icnt_cycles;
-                }
-                None => a.programs.push((name, s)),
-            }
-        }
-    }
-    acc
 }
 
 impl CacheableExperiment for FleetExperiment {

@@ -312,7 +312,8 @@ impl SimStats {
     }
 
     /// Serializes the raw counters as a JSON object with a stable field
-    /// order and integer-only values, so equal stats always produce
+    /// order, integers verbatim and the one float through
+    /// [`trace::json::num`], so equal stats always produce
     /// byte-identical text (the run-journal determinism contract).
     /// Derived metrics ([`Self::simt_efficiency`] etc.) are intentionally
     /// not included here; journal writers add them alongside.
@@ -346,7 +347,7 @@ impl SimStats {
             self.dram.bytes_read,
             self.dram.bytes_written,
             self.dram.bytes_requested,
-            self.dram.busy_channel_cycles,
+            trace::json::num(self.dram.busy_channel_cycles),
             self.dram.transactions,
             self.dram_channels,
             self.traversals_offloaded,

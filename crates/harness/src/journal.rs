@@ -3,15 +3,17 @@
 //! One journal per sweep, one entry per run, replacing the ad-hoc printlns
 //! the fig binaries used to rely on. The serialization is hand-rolled (no
 //! registry access → no `serde`) and **deterministic**: stable field
-//! order, integer counters verbatim, floats via Rust's shortest-roundtrip
-//! `Display` (`NaN`/infinities become `null` — JSON has no spelling for
-//! them). Equal result lists therefore serialize to byte-identical text,
-//! which is what the 1-thread-vs-N-thread determinism test asserts.
+//! order, integer counters verbatim, strings via [`trace::json::quote`],
+//! floats via [`trace::json::num`] (shortest-roundtrip `Display`,
+//! `NaN`/infinities as `null`). Equal result lists therefore serialize to
+//! byte-identical text, which is what the 1-thread-vs-N-thread
+//! determinism test asserts.
 //!
 //! Wall-clock timings are deliberately **not** part of the journal — they
 //! differ run to run and would break byte-identity. [`crate::sweep`]
 //! writes them to a separate `.timing.json` sidecar.
 
+use trace::json::{num, quote};
 use workloads::{AccelReport, RunResult, ServeSummary};
 
 /// Journal schema version (bump on breaking shape changes).
@@ -34,7 +36,7 @@ pub fn journal_json(sweep: &str, results: &[RunResult]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"sweep\": {},\n", escape(sweep)));
+    out.push_str(&format!("  \"sweep\": {},\n", quote(sweep)));
     out.push_str(&format!("  \"run_count\": {},\n", results.len()));
     out.push_str("  \"runs\": [");
     for (i, r) in results.iter().enumerate() {
@@ -54,7 +56,7 @@ pub fn journal_json(sweep: &str, results: &[RunResult]) -> String {
 fn run_json(r: &RunResult) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("    {\n");
-    out.push_str(&format!("      \"label\": {},\n", escape(&r.label)));
+    out.push_str(&format!("      \"label\": {},\n", quote(&r.label)));
     out.push_str(&format!("      \"cycles\": {},\n", r.stats.cycles));
     out.push_str(&format!(
         "      \"simt_efficiency\": {},\n",
@@ -104,8 +106,8 @@ fn serve_json(s: &ServeSummary) -> String {
          \"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\"max_latency\":{},\
          \"throughput_qpkc\":{},\"max_queue_depth\":{},\"makespan_cycles\":{},\
          \"queue_wait_cycles\":{},\"idle_cycles\":{},\"horizon_cycles\":{}}}",
-        escape(&s.policy),
-        escape(&s.backend),
+        quote(&s.policy),
+        quote(&s.backend),
         num(s.arrival_mean_cycles),
         s.offered,
         s.admitted,
@@ -159,7 +161,7 @@ fn fleet_json(f: &workloads::FleetSummary) -> String {
                 "{{\"class\":{},\"deadline_cycles\":{},\"offered\":{},\"completed\":{},\
                  \"dropped\":{},\"slo_misses\":{},\"p50_latency\":{},\"p99_latency\":{},\
                  \"max_latency\":{}}}",
-                escape(&c.class),
+                quote(&c.class),
                 c.deadline_cycles,
                 c.offered,
                 c.completed,
@@ -179,9 +181,9 @@ fn fleet_json(f: &workloads::FleetSummary) -> String {
          \"throughput_qpkc\":{},\"slo_misses\":{},\"shard_hits\":{},\"shard_misses\":{},\
          \"cold_starts\":{},\"makespan_cycles\":{},\"horizon_cycles\":{},\
          \"per_device\":[{}],\"per_class\":[{}]}}",
-        escape(&f.router),
-        escape(&f.backend),
-        escape(&f.policy),
+        quote(&f.router),
+        quote(&f.backend),
+        quote(&f.policy),
         f.devices,
         f.shards,
         f.replication,
@@ -217,7 +219,7 @@ fn accel_json(a: &AccelReport) -> String {
             format!(
                 "{{\"name\":{},\"invocations\":{},\"busy_cycles\":{},\
                  \"peak_in_flight\":{},\"total_latency\":{}}}",
-                escape(name),
+                quote(name),
                 s.invocations,
                 s.busy_cycles,
                 s.peak_in_flight,
@@ -231,7 +233,7 @@ fn accel_json(a: &AccelReport) -> String {
         .map(|(name, s)| {
             format!(
                 "{{\"name\":{},\"invocations\":{},\"total_latency\":{},\"icnt_cycles\":{}}}",
-                escape(name),
+                quote(name),
                 s.invocations,
                 s.total_latency,
                 s.icnt_cycles
@@ -270,7 +272,7 @@ pub fn timing_json(
 ) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\n");
-    out.push_str(&format!("  \"sweep\": {},\n", escape(sweep)));
+    out.push_str(&format!("  \"sweep\": {},\n", quote(sweep)));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"wall_seconds\": {},\n", num(wall_seconds)));
     out.push_str("  \"runs\": [");
@@ -280,7 +282,7 @@ pub fn timing_json(
         }
         out.push_str(&format!(
             "\n    {{\"label\": {}, \"wall_seconds\": {}}}",
-            escape(label),
+            quote(label),
             num(*secs)
         ));
     }
@@ -288,35 +290,6 @@ pub fn timing_json(
         out.push('\n');
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// JSON number: finite floats via shortest-roundtrip `Display`,
-/// non-finite as `null`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -474,19 +447,6 @@ mod tests {
         // Non-fleet runs keep a null fleet section (v4 contract).
         let plain = journal_json("plain", &[result("x", 1)]);
         assert!(plain.contains("\"fleet\": null"));
-    }
-
-    #[test]
-    fn non_finite_metrics_become_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(0.25), "0.25");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   [`workloads::RunResult`] lists (cycles, SIMT efficiency, DRAM
 //!   utilization, instruction mix, per-unit stats);
 //! * [`sweep`] — the [`Sweep`] orchestrator tying the three together and
-//!   writing `results/<name>.journal.json` plus a wall-clock sidecar.
+//!   writing `results/<name>.journal.json` plus a wall-clock sidecar;
+//! * [`bench_log`] — the `BENCH_*.json` perf-trajectory logs that
+//!   `bench_gate` validates and gates against, read from those sidecars.
 //!
 //! # Determinism
 //!
@@ -47,6 +49,7 @@
 //! assert_eq!(outcome.results.len(), 1);
 //! ```
 
+pub mod bench_log;
 pub mod cache;
 pub mod journal;
 pub mod pool;

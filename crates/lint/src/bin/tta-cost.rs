@@ -22,6 +22,7 @@
 use std::io::Write as _;
 
 use gpu_sim::absint::{coalescing, cycle_bounds, divergence, CostReport, Divergence};
+use trace::json::quote;
 use tta::ttaplus::TtaPlusConfig;
 use tta_lint::{shipped_kernel_inventory, shipped_programs};
 
@@ -54,10 +55,10 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> Str
         .iter()
         .map(|site| {
             format!(
-                "{{\"pc\":{},\"kind\":\"{}\",\"class\":\"{}\",\"lines_min\":{},\"lines_max\":{},\"misaligned\":{}}}",
+                "{{\"pc\":{},\"kind\":{},\"class\":{},\"lines_min\":{},\"lines_max\":{},\"misaligned\":{}}}",
                 site.pc,
-                if site.is_store { "store" } else { "load" },
-                site.class,
+                quote(if site.is_store { "store" } else { "load" }),
+                quote(&site.class.to_string()),
                 site.lines_min,
                 site.lines_max,
                 site.misaligned,
@@ -78,17 +79,14 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> Str
                 ),
                 None => "null".to_string(),
             };
-            let issues: Vec<String> = rep.issues.iter().map(|i| format!("\"{i}\"")).collect();
+            let issues: Vec<String> = rep.issues.iter().map(|i| quote(&i.to_string())).collect();
             (bounds_json, issues)
         }
-        None => (
-            "null".to_string(),
-            vec!["\"no declared cost facts\"".to_string()],
-        ),
+        None => ("null".to_string(), vec![quote("no declared cost facts")]),
     };
     format!(
-        "    {{\"kernel\":\"{}\",\n     \"divergence\":{{\"branches\":{},\"uniform\":{uniform},\"may_diverge\":{may},\"divergent\":{proved},\"proved_uniform\":{}}},\n     \"coalescing\":{{\"lines_bracket\":[{lines_lo},{lines_hi}],\"sites\":[{}]}},\n     \"cycle_bounds\":{bounds_json},\n     \"issues\":[{}]}}",
-        s.kernel.name,
+        "    {{\"kernel\":{},\n     \"divergence\":{{\"branches\":{},\"uniform\":{uniform},\"may_diverge\":{may},\"divergent\":{proved},\"proved_uniform\":{}}},\n     \"coalescing\":{{\"lines_bracket\":[{lines_lo},{lines_hi}],\"sites\":[{}]}},\n     \"cycle_bounds\":{bounds_json},\n     \"issues\":[{}]}}",
+        quote(&s.kernel.name),
         div.branches.len(),
         div.proved_uniform(),
         sites.join(","),
@@ -99,8 +97,8 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> Str
 fn program_fragment(p: &tta::programs::UopProgram, hop: u64) -> String {
     let (lo, hi) = p.latency_bounds(hop);
     format!(
-        "    {{\"program\":\"{}\",\"uops\":{},\"critical_path\":{lo},\"serial_upper\":{hi}}}",
-        p.name(),
+        "    {{\"program\":{},\"uops\":{},\"critical_path\":{lo},\"serial_upper\":{hi}}}",
+        quote(p.name()),
         p.len(),
     )
 }

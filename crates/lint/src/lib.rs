@@ -30,6 +30,7 @@
 use gpu_sim::absint::{LaunchBounds, MemContract, MemIssue, RaceIssue};
 use gpu_sim::kernel::Kernel;
 use gpu_sim::verify::KernelIssue;
+use trace::json::quote;
 use tta::dataflow::ProgramIssue;
 use tta::pipeline::{AcceleratorGen, PipelineIssue, TraversalPipeline};
 use tta::programs::UopProgram;
@@ -83,30 +84,13 @@ impl Diagnostic {
     /// `{"severity":...,"pass":...,"location":...,"message":...}`.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"severity":"{}","pass":"{}","location":"{}","message":"{}"}}"#,
-            self.severity,
-            json_escape(self.pass),
-            json_escape(&self.location),
-            json_escape(&self.message),
+            r#"{{"severity":{},"pass":{},"location":{},"message":{}}}"#,
+            quote(&self.severity.to_string()),
+            quote(self.pass),
+            quote(&self.location),
+            quote(&self.message),
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `true` when any diagnostic in `diags` is error-severity.

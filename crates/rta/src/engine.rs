@@ -136,6 +136,20 @@ pub struct EngineStats {
     pub busy_cycles: u64,
 }
 
+impl EngineStats {
+    /// Accumulates another engine's counters into this one (all eight).
+    pub fn add(&mut self, o: &EngineStats) {
+        self.warps_accepted += o.warps_accepted;
+        self.rays_completed += o.rays_completed;
+        self.node_fetches += o.node_fetches;
+        self.fetch_merges += o.fetch_merges;
+        self.nodes_processed += o.nodes_processed;
+        self.warp_buffer_accesses += o.warp_buffer_accesses;
+        self.prefetches += o.prefetches;
+        self.busy_cycles += o.busy_cycles;
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     FetchDone,

@@ -12,7 +12,7 @@ use workloads::rtnn::{LeafPath, RtnnExperiment, RtnnInputs};
 use workloads::runner::sum_stats;
 use workloads::{CacheableExperiment, Platform, RunResult};
 
-use crate::engine::{serve, BatchService, ServeConfig};
+use crate::engine::{BatchService, ServeConfig};
 use crate::metrics::summarize;
 use crate::policy::BatchPolicy;
 use crate::service::{BTreeService, NBodyService, RtnnService, ServeBackend};
@@ -186,6 +186,7 @@ impl ServeExperiment {
     /// Runs the serving experiment: generates the arrival stream, drives
     /// the virtual-clock engine, and folds the outcome into a
     /// [`RunResult`] whose `serve` section carries the latency summary.
+    /// Writes a Chrome trace when `trace_dir` is set.
     ///
     /// # Panics
     ///
@@ -193,43 +194,7 @@ impl ServeExperiment {
     /// from the host oracle, or when attached inputs mismatch the
     /// configured workload.
     pub fn run(&self) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
-        let mut svc = self.build_service(&inputs);
-        let arrivals =
-            workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
-        let (trace, sink) = workloads::runner::trace_pair(self.trace_dir.as_deref());
-        let cfg = ServeConfig {
-            policy: self.policy.clone(),
-            queue_capacity: self.queue_capacity,
-            trace,
-        };
-        let outcome = serve(svc.as_mut(), &cfg, &arrivals);
-        let summary = summarize(
-            &self.policy.label(),
-            &svc.label(),
-            self.arrival_mean_cycles,
-            &outcome,
-        );
-        let label = format!(
-            "serve {} {} {} mean{}",
-            self.workload.name(),
-            svc.label(),
-            self.policy.label(),
-            self.arrival_mean_cycles
-        );
-        if let (Some(dir), Some(sink)) = (&self.trace_dir, &sink) {
-            workloads::runner::write_trace(dir, &label, sink);
-        }
-        RunResult {
-            label,
-            stats: sum_stats(&outcome.launch_stats),
-            accel: svc.accel_report(),
-            serve: Some(summary),
-            fleet: None,
-        }
+        self.drive(1, self.trace_dir.as_deref())
     }
 
     /// Runs the experiment as `segments` horizon shards: the virtual
@@ -251,16 +216,24 @@ impl ServeExperiment {
     /// mismatch the configured workload.
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
+        self.drive(segments, None)
+    }
+
+    /// The one driver behind [`run`](Self::run) and
+    /// [`run_sharded`](Self::run_sharded): `segments` horizon shards,
+    /// traced into `trace_dir` when given.
+    fn drive(&self, segments: usize, trace_dir: Option<&std::path::Path>) -> RunResult {
         let inputs = match &self.inputs {
             Some(i) => Arc::clone(i),
             None => Arc::new(self.build_inputs()),
         };
         let arrivals =
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
+        let (trace, sink) = workloads::runner::trace_pair(trace_dir);
         let cfg = ServeConfig {
             policy: self.policy.clone(),
             queue_capacity: self.queue_capacity,
-            trace: trace::TraceHandle::default(),
+            trace,
         };
         let mut svc = self.build_service(&inputs);
         let mut session = ServeSession::new(svc.as_mut(), cfg.clone(), arrivals.clone());
@@ -302,6 +275,9 @@ impl ServeExperiment {
             self.policy.label(),
             self.arrival_mean_cycles
         );
+        if let (Some(dir), Some(sink)) = (trace_dir, &sink) {
+            workloads::runner::write_trace(dir, &label, sink);
+        }
         RunResult {
             label,
             stats: sum_stats(&outcome.launch_stats),

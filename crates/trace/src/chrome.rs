@@ -17,6 +17,7 @@
 //! them microseconds; ignore the unit).
 
 use crate::event::{EventKind, TraceEvent, Track};
+use crate::json::quote;
 
 /// Serializes events to a Chrome `trace_event` "JSON object format"
 /// document. Deterministic: byte-identical for identical event lists.
@@ -36,35 +37,39 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
         if pid != last_pid {
             last_pid = pid;
             push_line(&mut out, &mut first, &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                t.category()
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":{}}}}}",
+                quote(t.category())
             ));
         }
         push_line(&mut out, &mut first, &format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{} {}\"}}}}",
-            t.category(),
-            tid
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            quote(&format!("{} {tid}", t.category()))
         ));
     }
 
     for ev in events {
         let (pid, tid) = (ev.track.category_id(), ev.track.index());
-        let cat = ev.track.category();
+        let cat = quote(ev.track.category());
         let ts = ev.cycle;
         let line = match ev.kind {
             EventKind::Span { name, end, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}",
+                "{{\"name\":{},\"cat\":{cat},\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}",
+                quote(name),
                 end - ts
             ),
-            EventKind::Async { name, id, end, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"b\",\"id\":{id},\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}},\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"e\",\"id\":{id},\"ts\":{end},\"pid\":{pid},\"tid\":{tid},\"args\":{{}}}}"
-            ),
+            EventKind::Async { name, id, end, arg } => {
+                let name = quote(name);
+                format!(
+                    "{{\"name\":{name},\"cat\":{cat},\"ph\":\"b\",\"id\":{id},\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}},\n{{\"name\":{name},\"cat\":{cat},\"ph\":\"e\",\"id\":{id},\"ts\":{end},\"pid\":{pid},\"tid\":{tid},\"args\":{{}}}}"
+                )
+            }
             EventKind::Instant { name, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}"
+                "{{\"name\":{},\"cat\":{cat},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}",
+                quote(name)
             ),
             EventKind::Counter { bucket, cycles } => format!(
-                "{{\"name\":\"attribution\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"{}\":{cycles}}}}}",
-                bucket.name()
+                "{{\"name\":\"attribution\",\"cat\":{cat},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}:{cycles}}}}}",
+                quote(bucket.name())
             ),
         };
         push_line(&mut out, &mut first, &line);

@@ -307,7 +307,11 @@ impl CycleAttribution {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         for b in Bucket::ALL {
-            s.push_str(&format!("\"{}\":{},", b.name(), self.get(b)));
+            s.push_str(&format!(
+                "{}:{},",
+                crate::json::quote(b.name()),
+                self.get(b)
+            ));
         }
         s.push_str(&format!("\"total\":{}}}", self.total()));
         s

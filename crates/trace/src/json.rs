@@ -1,10 +1,49 @@
-//! A minimal recursive-descent JSON parser.
+//! The workspace's one JSON codec: a strict recursive-descent parser
+//! plus the two writer primitives every hand-formatted JSON document in
+//! the workspace goes through.
 //!
-//! The workspace has no registry access, so serde is unavailable; this
-//! ~150-line parser is enough for the trace validator and CI schema
-//! checks. It accepts standard JSON (RFC 8259) minus exotic corner
-//! cases we never emit: `\u` escapes outside the BMP are replaced, and
-//! numbers are read as `f64`.
+//! The workspace has no registry access, so serde is unavailable. The
+//! parser reads run journals, timing sidecars, `BENCH_*.json` trajectory
+//! logs, `tta-cost` reports and Chrome traces. It accepts standard JSON
+//! (RFC 8259) minus exotic corner cases we never emit: `\u` escapes
+//! outside the BMP are replaced, and numbers are read as `f64`.
+//!
+//! Writers keep their own field order and layout (that is what makes
+//! journals byte-stable) and format every string through [`quote`] and
+//! every unformatted float through [`num`].
+
+/// A JSON string literal, surrounding quotes included: `"`, `\`, `\n`,
+/// `\r` and `\t` get their short escapes, other control characters a
+/// lowercase `\u00xx`, everything else passes through.
+#[must_use]
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON number: finite floats via Rust's shortest-roundtrip `Display`,
+/// non-finite ones as `null` (JSON has no spelling for them).
+#[must_use]
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_owned()
+    }
+}
 
 /// A parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,13 +302,45 @@ mod tests {
 
     #[test]
     fn parses_the_shapes_we_emit() {
-        let v = parse(r#"{"a":[1,2.5,-3],"b":{"c":"x\ny"},"d":null,"e":true}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
+        let v = parse(r#"{"a":[1,2.5,-3,-2.5e1],"b":{"c":"x\n\"y\""},"d":null,"e":true}"#).unwrap();
+        let a = v.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a.len(), 4);
+        assert!((a[1].as_num().unwrap() - 2.5).abs() < 1e-12);
+        assert_eq!(a[3].as_num(), Some(-25.0));
+        assert_eq!(
+            v.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\n\"y\"")
+        );
         assert_eq!(v.get("d"), Some(&Value::Null));
         assert_eq!(v.get("e"), Some(&Value::Bool(true)));
-        let n = v.get("a").unwrap().as_array().unwrap()[1].as_num().unwrap();
-        assert!((n - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quote_escapes_exactly_the_mandatory_set() {
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(quote("\r\t"), "\"\\r\\t\"");
+        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quote("\u{1f}/\u{7f}"), "\"\\u001f/\u{7f}\"");
+    }
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        let ascii = (0u8..=0x7f).map(char::from);
+        for c in ascii.chain("\u{e9}\u{3bb}\u{4e2d}\u{1f600}".chars()) {
+            let s = format!("a{c}b");
+            assert_eq!(parse(&quote(&s)), Ok(Value::Str(s.clone())), "{c:?}");
+        }
+        let text = "caf\u{e9} \u{3bb}-calculus \u{4e2d}\u{6587} \u{1f600}";
+        assert_eq!(parse(&quote(text)), Ok(Value::Str(text.to_owned())));
+    }
+
+    #[test]
+    fn num_writes_shortest_round_trip_or_null() {
+        assert_eq!(num(0.25), "0.25");
+        assert_eq!(num(3.0), "3");
+        assert_eq!(num(f64::NAN), "null");
+        assert_eq!(num(f64::INFINITY), "null");
+        assert_eq!(num(f64::NEG_INFINITY), "null");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use crate::chrome;
 use crate::event::{Bucket, CycleAttribution, EventKind, TraceEvent, Track};
+use crate::json::quote;
 
 /// A consumer of trace events.
 ///
@@ -71,7 +72,7 @@ impl CountingSink {
                 s.push(',');
             }
             first = false;
-            s.push_str(&format!("\"{name}\":{cycles}"));
+            s.push_str(&format!("{}:{cycles}", quote(name)));
         }
         s.push_str("}}");
         s

@@ -67,6 +67,22 @@ impl AccelReport {
     pub fn unit(&self, name: &str) -> Option<&UnitStats> {
         self.units.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
+
+    /// Accumulates another report into this one: engine counters and
+    /// totals summed, units and programs merged by name (first-seen
+    /// order), unit peaks maxed — the fold [`harvest_accel`] applies
+    /// across SMs, applied across a fleet's devices.
+    pub fn merge(&mut self, o: &AccelReport) {
+        self.engine.add(&o.engine);
+        self.shader_lane_instructions += o.shader_lane_instructions;
+        self.traversals += o.traversals;
+        for (name, s) in &o.units {
+            merge_unit(&mut self.units, name, s);
+        }
+        for (name, s) in &o.programs {
+            merge_program(&mut self.programs, name, s);
+        }
+    }
 }
 
 /// Aggregated metrics of one *online-serving* run (produced by the
@@ -391,24 +407,9 @@ pub fn harvest_accel(gpu: &Gpu) -> Option<AccelReport> {
         let Some(engine) = acc.as_any().downcast_ref::<TraversalEngine>() else {
             continue;
         };
-        let e = &engine.stats;
-        report.engine.warps_accepted += e.warps_accepted;
-        report.engine.rays_completed += e.rays_completed;
-        report.engine.node_fetches += e.node_fetches;
-        report.engine.fetch_merges += e.fetch_merges;
-        report.engine.nodes_processed += e.nodes_processed;
-        report.engine.warp_buffer_accesses += e.warp_buffer_accesses;
-        report.engine.busy_cycles += e.busy_cycles;
+        report.engine.add(&engine.stats);
         for (name, stats) in engine.unit_stats() {
-            match report.units.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, s)) => {
-                    s.invocations += stats.invocations;
-                    s.busy_cycles += stats.busy_cycles;
-                    s.peak_in_flight = s.peak_in_flight.max(stats.peak_in_flight);
-                    s.total_latency += stats.total_latency;
-                }
-                None => report.units.push((name, stats)),
-            }
+            merge_unit(&mut report.units, &name, &stats);
         }
         let backend: &dyn IntersectionBackend = engine.backend();
         if let Some(b) = backend.as_any().downcast_ref::<FixedFunctionBackend>() {
@@ -441,6 +442,18 @@ fn b_program(b: &TtaPlusBackend, id: u16) -> Option<&ProgramStats> {
     // program_stats panics past the end; probe via catch-free length check
     // by relying on the public accessor contract: ids are dense.
     b.try_program_stats(id)
+}
+
+fn merge_unit(list: &mut Vec<(String, UnitStats)>, name: &str, s: &UnitStats) {
+    match list.iter_mut().find(|(n, _)| n == name) {
+        Some((_, acc)) => {
+            acc.invocations += s.invocations;
+            acc.busy_cycles += s.busy_cycles;
+            acc.peak_in_flight = acc.peak_in_flight.max(s.peak_in_flight);
+            acc.total_latency += s.total_latency;
+        }
+        None => list.push((name.to_owned(), s.clone())),
+    }
 }
 
 fn merge_program(list: &mut Vec<(String, ProgramStats)>, name: &str, s: &ProgramStats) {
@@ -568,5 +581,69 @@ mod tests {
             fleet: None,
         };
         assert_eq!(r.core_instructions(), 100 + 40);
+    }
+
+    #[test]
+    fn harvested_report_carries_prefetches() {
+        use crate::lumibench::{RtExperiment, RtWorkload};
+        let mut cfg = RtaConfig::baseline();
+        cfg.prefetch_children = true;
+        let mut e = RtExperiment::new(RtWorkload::BlobPt, Platform::BaselineRta(cfg));
+        (e.width, e.height) = (16, 12);
+        e.gpu = GpuConfig::small_test();
+        let accel = e.run().accel.expect("RTA run has an accelerator");
+        assert!(accel.engine.prefetches > 0, "{:?}", accel.engine);
+    }
+
+    #[test]
+    fn merge_sums_every_counter_and_joins_by_name() {
+        let unit = |n| UnitStats {
+            invocations: n,
+            busy_cycles: n,
+            peak_in_flight: n as usize,
+            total_latency: n,
+        };
+        let program = |n| ProgramStats {
+            invocations: n,
+            total_latency: n,
+            icnt_cycles: n,
+        };
+        let report = |n: u64| AccelReport {
+            engine: EngineStats {
+                warps_accepted: n,
+                rays_completed: n,
+                node_fetches: n,
+                fetch_merges: n,
+                nodes_processed: n,
+                warp_buffer_accesses: n,
+                prefetches: n,
+                busy_cycles: n,
+            },
+            units: vec![("u".into(), unit(n))],
+            programs: vec![("p".into(), program(n))],
+            shader_lane_instructions: n,
+            traversals: n,
+        };
+        let mut a = report(2);
+        let mut b = report(3);
+        b.units.push(("v".into(), unit(1)));
+        a.merge(&b);
+        let five = report(5);
+        assert_eq!(a.engine, five.engine);
+        assert_eq!((a.shader_lane_instructions, a.traversals), (5, 5));
+        assert_eq!(
+            a.units,
+            vec![
+                (
+                    "u".into(),
+                    UnitStats {
+                        peak_in_flight: 3,
+                        ..unit(5)
+                    }
+                ),
+                ("v".into(), unit(1))
+            ]
+        );
+        assert_eq!(a.programs[0].1.invocations, 5);
     }
 }

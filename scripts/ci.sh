@@ -34,7 +34,9 @@
 #      register value and SIMT stack depth stays inside its static
 #      abstraction, and that no two warps conflict on a global-memory
 #      word within a launch
-#  10. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
+#  10. every JSON artifact freshly written under results/ parses with
+#      the workspace's one JSON codec (the root `artifacts` test)
+#  11. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
 #      must parse against their schema; the wall-clock of step 9 must not
 #      regress more than 25% against the latest committed quick-shadow
 #      fig13 entry, and the untraced fleet smoke of step 6 not more than
@@ -183,9 +185,14 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect --
 # static abstraction, or two warps conflicting on a global-memory word
 # within a launch, aborts the run. The sweep's own wall-clock (from the
 # timing sidecar, excluding cargo overhead) doubles as the
-# perf-trajectory measurement for step 10.
+# perf-trajectory measurement for step 11.
 echo "==> TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 fig13 --quick (soundness gate)"
 TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2
+
+# Every JSON artifact the steps above regenerated under results/ (sweep
+# journals and timing sidecars, the tta-cost report) must parse with
+# trace::json, the same strict parser the committed artifacts are held to.
+run cargo test "${CARGO_FLAGS[@]}" -q --test artifacts
 
 # Perf-trajectory gate: the committed BENCH_fig13.json must be
 # schema-valid, and the shadow-checked sweep above must not be more than
