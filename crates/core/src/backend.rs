@@ -15,8 +15,8 @@
 use gpu_sim::snapshot::{BagError, StateBag};
 use rta::config::RtaConfig;
 use rta::units::{
-    export_units, import_units, IntersectionBackend, PipelinedUnit, TestKind, UnitStats,
-    UnsupportedTest,
+    export_units, import_units, pool_stats, IntersectionBackend, PipelinedUnit, TestKind,
+    UnitStats, UnsupportedTest,
 };
 
 /// TTA configuration: the baseline RTA plus the modified-unit latencies.
@@ -152,19 +152,12 @@ impl IntersectionBackend for TtaBackend {
     }
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let fold = |units: &[PipelinedUnit]| {
-            let mut s = UnitStats::default();
-            for u in units {
-                s.invocations += u.stats.invocations;
-                s.busy_cycles += u.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(u.stats.peak_in_flight);
-                s.total_latency += u.stats.total_latency;
-            }
-            s
-        };
         vec![
-            ("RayBox/QueryKey".to_owned(), fold(&self.box_units)),
-            ("RayTriangle/PointToPoint".to_owned(), fold(&self.tri_units)),
+            ("RayBox/QueryKey".to_owned(), pool_stats(&self.box_units)),
+            (
+                "RayTriangle/PointToPoint".to_owned(),
+                pool_stats(&self.tri_units),
+            ),
             ("Transform".to_owned(), self.xform_unit.stats.clone()),
             ("IntersectionShader".to_owned(), self.shader.stats.clone()),
         ]

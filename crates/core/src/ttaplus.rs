@@ -10,9 +10,10 @@
 
 use std::collections::HashMap;
 
-use gpu_sim::snapshot::{BagError, SnapValue, StateBag};
+use gpu_sim::snapshot::{BagError, StateBag};
 use rta::units::{
-    import_units, IntersectionBackend, PipelinedUnit, TestKind, UnitStats, UnsupportedTest,
+    import_units, pool_stats, IntersectionBackend, PipelinedUnit, TestKind, UnitStats,
+    UnsupportedTest,
 };
 
 use crate::op_unit::OpUnit;
@@ -77,15 +78,17 @@ impl Default for TtaPlusConfig {
     }
 }
 
-/// Per-program latency statistics (Fig. 18 bottom).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Executions of this program.
-    pub invocations: u64,
-    /// Total latency (arrival to final μop retirement), cycles.
-    pub total_latency: u64,
-    /// Cycles spent in crossbar transfers.
-    pub icnt_cycles: u64,
+trace::declare! {
+    /// Per-program latency statistics (Fig. 18 bottom).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ProgramStats {
+        /// Executions of this program.
+        pub invocations: u64,
+        /// Total latency (arrival to final μop retirement), cycles.
+        pub total_latency: u64,
+        /// Cycles spent in crossbar transfers.
+        pub icnt_cycles: u64,
+    }
 }
 
 impl ProgramStats {
@@ -304,36 +307,14 @@ impl IntersectionBackend for TtaPlusBackend {
             if pool.is_empty() {
                 continue;
             }
-            let mut s = UnitStats::default();
-            for unit in pool {
-                s.invocations += unit.stats.invocations;
-                s.busy_cycles += unit.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(unit.stats.peak_in_flight);
-                s.total_latency += unit.stats.total_latency;
-            }
-            out.push((u.name().to_owned(), s));
+            out.push((u.name().to_owned(), pool_stats(pool)));
         }
-        let mut xb = UnitStats::default();
-        for lane in &self.crossbar {
-            xb.invocations += lane.stats.invocations;
-            xb.busy_cycles += lane.stats.busy_cycles;
-            xb.peak_in_flight = xb.peak_in_flight.max(lane.stats.peak_in_flight);
-            xb.total_latency += lane.stats.total_latency;
-        }
-        out.push(("ICNT".to_owned(), xb));
+        out.push(("ICNT".to_owned(), pool_stats(&self.crossbar)));
         out.push(("IntersectionShader".to_owned(), self.shader.stats.clone()));
         out
     }
 
     fn export_state(&self) -> StateBag {
-        let program_bag = |s: &ProgramStats| {
-            SnapValue::List(
-                [s.invocations, s.total_latency, s.icnt_cycles]
-                    .into_iter()
-                    .map(SnapValue::U64)
-                    .collect(),
-            )
-        };
         let mut bag = StateBag::new();
         // Configured OP unit pools keyed by unit name, in `OpUnit::ALL` order.
         let mut units = StateBag::new();
@@ -344,23 +325,14 @@ impl IntersectionBackend for TtaPlusBackend {
         }
         bag.put_bag("units", units);
         bag.put("crossbar", rta::units::export_units(&self.crossbar));
-        bag.put_list(
-            "program_stats",
-            self.program_stats.iter().map(program_bag).collect(),
-        );
+        bag.put_fields("program_stats", &self.program_stats);
         // Parallel to BUILTIN_TRACE_ORDER; programs that never ran export
         // all-zero rows (a live entry always has `invocations >= 1`).
-        bag.put_list(
-            "builtin_stats",
-            BUILTIN_TRACE_ORDER
-                .iter()
-                .map(|name| {
-                    self.builtin_stats
-                        .get(name)
-                        .map_or(SnapValue::List(vec![SnapValue::U64(0); 3]), &program_bag)
-                })
-                .collect(),
-        );
+        let builtin: Vec<ProgramStats> = BUILTIN_TRACE_ORDER
+            .iter()
+            .map(|name| self.builtin_stats.get(name).cloned().unwrap_or_default())
+            .collect();
+        bag.put_fields("builtin_stats", &builtin);
         bag.put_bag("shader", self.shader.export_state());
         bag.put_u64("shader_calls", self.shader_calls);
         bag.put_u64("trace_invocations", self.trace_invocations);
@@ -368,26 +340,6 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 
     fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let unpack = |v: &SnapValue, what: &str| -> Result<ProgramStats, BagError> {
-            let SnapValue::List(items) = v else {
-                return Err(BagError::WrongKind(what.to_owned()));
-            };
-            let row: Vec<u64> = items
-                .iter()
-                .map(|x| match x {
-                    SnapValue::U64(n) => Ok(*n),
-                    _ => Err(BagError::WrongKind(what.to_owned())),
-                })
-                .collect::<Result<_, _>>()?;
-            let row: [u64; 3] = row
-                .try_into()
-                .map_err(|_| BagError::Mismatch(format!("{what} arity")))?;
-            Ok(ProgramStats {
-                invocations: row[0],
-                total_latency: row[1],
-                icnt_cycles: row[2],
-            })
-        };
         let units_bag = bag.bag("units")?;
         for (u, pool) in OpUnit::ALL.into_iter().zip(&mut self.units) {
             if !pool.is_empty() {
@@ -395,7 +347,7 @@ impl IntersectionBackend for TtaPlusBackend {
             }
         }
         import_units(&mut self.crossbar, bag, "crossbar")?;
-        let ps = bag.list("program_stats")?;
+        let ps: Vec<ProgramStats> = bag.fields("program_stats")?;
         if ps.len() != self.program_stats.len() {
             return Err(BagError::Mismatch(format!(
                 "snapshot has {} custom programs, host has {}",
@@ -403,17 +355,13 @@ impl IntersectionBackend for TtaPlusBackend {
                 self.program_stats.len()
             )));
         }
-        self.program_stats = ps
-            .iter()
-            .map(|v| unpack(v, "program_stats"))
-            .collect::<Result<_, _>>()?;
-        let bs = bag.list("builtin_stats")?;
+        self.program_stats = ps;
+        let bs: Vec<ProgramStats> = bag.fields("builtin_stats")?;
         if bs.len() != BUILTIN_TRACE_ORDER.len() {
             return Err(BagError::Mismatch("builtin_stats arity".to_owned()));
         }
         self.builtin_stats.clear();
-        for (name, v) in BUILTIN_TRACE_ORDER.iter().zip(bs) {
-            let s = unpack(v, "builtin_stats")?;
+        for (name, s) in BUILTIN_TRACE_ORDER.iter().zip(bs) {
             // All-zero means "never ran": keep the entry absent so
             // `builtin_stats()` still answers `None` after a restore.
             if s != ProgramStats::default() {

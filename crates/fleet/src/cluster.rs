@@ -13,7 +13,7 @@
 //! state, so a fleet run is byte-deterministic at any host thread count.
 
 use gpu_sim::SimStats;
-use serve::BatchService;
+use serve::{BatchService, DeviceCounters};
 use trace::TraceHandle;
 
 use crate::autoscale::AutoscaleConfig;
@@ -76,20 +76,10 @@ pub struct FleetDeviceReport {
     /// Queries the router sent to this device (admitted or queue-dropped):
     /// `completed + dropped == routed`.
     pub routed: u64,
-    /// Batches launched.
-    pub batches: u64,
-    /// Queries completed.
-    pub completed: u64,
-    /// Queries dropped by this device's bounded queue.
-    pub dropped: u64,
-    /// Busy cycles (batch execution, including miss/cold-start overhead).
-    pub busy_cycles: u64,
-    /// Device-free cycles with queries waiting on the policy.
-    pub queue_wait_cycles: u64,
-    /// Device-free cycles with an empty queue (including parked time).
-    pub idle_cycles: u64,
-    /// Deepest the device queue ever got.
-    pub max_queue_depth: usize,
+    /// The device's counters, settled at the cluster horizon: busy cycles
+    /// include shard-miss and cold-start overhead, idle cycles include
+    /// parked time.
+    pub counters: DeviceCounters,
     /// Queries this device served without holding their shard.
     pub shard_misses: u64,
     /// Cold-start transitions this device paid for.

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use gpu_sim::GpuConfig;
 use serve::{build_service, BatchPolicy, BatchService, ServeBackend, ServeInputs, ServeWorkload};
+use trace::fields::Fold;
 use workloads::runner::sum_stats;
 use workloads::{CacheableExperiment, RunResult};
 
@@ -250,7 +251,7 @@ impl FleetExperiment {
                 .iter()
                 .filter_map(|s| s.accel_report())
                 .reduce(|mut acc, r| {
-                    acc.merge(&r);
+                    acc.add(&r);
                     acc
                 }),
             serve: None,

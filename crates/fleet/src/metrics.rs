@@ -46,13 +46,13 @@ pub fn summarize(
         .enumerate()
         .map(|(d, r)| FleetDeviceSummary {
             device: d as u64,
-            batches: r.batches,
-            completed: r.completed,
-            dropped: r.dropped,
-            busy_cycles: r.busy_cycles,
-            queue_wait_cycles: r.queue_wait_cycles,
-            idle_cycles: r.idle_cycles,
-            max_queue_depth: r.max_queue_depth as u64,
+            batches: r.counters.batches,
+            completed: r.counters.completed,
+            dropped: r.counters.dropped,
+            busy_cycles: r.counters.busy_cycles,
+            queue_wait_cycles: r.counters.queue_wait_cycles,
+            idle_cycles: r.counters.idle_cycles,
+            max_queue_depth: r.counters.max_queue_depth as u64,
             shard_misses: r.shard_misses,
             cold_starts: r.cold_starts,
         })
@@ -93,7 +93,7 @@ pub fn summarize(
         admitted: offered - dropped,
         dropped,
         completed,
-        batches: out.per_device.iter().map(|d| d.batches).sum(),
+        batches: out.per_device.iter().map(|d| d.counters.batches).sum(),
         p50_latency: pct(&latencies, 50.0),
         p95_latency: pct(&latencies, 95.0),
         p99_latency: pct(&latencies, 99.0),

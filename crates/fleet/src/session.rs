@@ -11,7 +11,8 @@
 //! clock-advance split as `serve::session` (see there for the argument),
 //! applied to every engine in ascending device order.
 
-use gpu_sim::snapshot::{fnv1a_64, BagError, SnapValue, StateBag};
+use gpu_sim::snapshot::{BagError, SnapValue, StateBag};
+use serve::session::{decode_option, encode_option, stream_fnv};
 use serve::{BatchService, DeviceEngine};
 use trace::Track;
 
@@ -42,18 +43,6 @@ pub struct FleetSession {
     makespan: u64,
     now: u64,
     next_arrival: usize,
-}
-
-/// Identity hash of the offered stream (stamps and class assignments) —
-/// guards a session snapshot against being resumed onto different inputs.
-fn stream_fnv(arrivals: &[u64], classes: &[usize]) -> u64 {
-    let bytes: Vec<u8> = arrivals
-        .iter()
-        .copied()
-        .chain(classes.iter().map(|&c| c as u64))
-        .flat_map(u64::to_le_bytes)
-        .collect();
-    fnv1a_64(&bytes)
 }
 
 impl FleetSession {
@@ -346,21 +335,9 @@ impl FleetSession {
             // then settle: the partition holds against the *cluster*
             // horizon.
             e.advance(self.now, horizon);
-            let (busy, queue_wait, idle) = e.settle(horizon);
-            debug_assert_eq!(
-                busy + queue_wait + idle,
-                horizon,
-                "device {d} buckets must partition the cluster horizon"
-            );
             per_device.push(FleetDeviceReport {
                 routed: self.routed[d],
-                batches: e.batches(),
-                completed: e.completed(),
-                dropped: e.dropped(),
-                busy_cycles: busy,
-                queue_wait_cycles: queue_wait,
-                idle_cycles: idle,
-                max_queue_depth: e.max_queue_depth(),
+                counters: e.settle(horizon).clone(),
                 shard_misses: self.shard_misses[d],
                 cold_starts: self.scaler.cold_starts(d),
                 launch_stats: e.into_launch_stats(),
@@ -398,15 +375,13 @@ impl FleetSession {
         bag.put_u64("admission_dropped", self.admission_dropped);
         bag.put_u64_list(
             "completions",
-            self.queries
-                .iter()
-                .map(|q| q.completion.map_or(0, |c| c + 1)),
+            self.queries.iter().map(|q| encode_option(q.completion)),
         );
         bag.put_u64_list(
             "devices",
             self.queries
                 .iter()
-                .map(|q| q.device.map_or(0, |d| d as u64 + 1)),
+                .map(|q| encode_option(q.device.map(|d| d as u64))),
         );
         bag.put_u64_list("local", self.queries.iter().map(|q| u64::from(q.local)));
         bag.put_u64_list("routed", self.routed.iter().copied());
@@ -492,8 +467,8 @@ impl FleetSession {
         self.makespan = bag.u64("makespan")?;
         self.admission_dropped = bag.u64("admission_dropped")?;
         for (i, q) in self.queries.iter_mut().enumerate() {
-            q.completion = completions[i].checked_sub(1);
-            q.device = devices[i].checked_sub(1).map(|d| d as usize);
+            q.completion = decode_option(completions[i]);
+            q.device = decode_option(devices[i]).map(|d| d as usize);
             q.local = local[i] != 0;
         }
         self.routed = routed;

@@ -96,12 +96,16 @@ fn check_conservation(out: &FleetOutcome, n_classes: usize) {
     }
     // Per device: completed + queue-dropped == routed.
     for (d, r) in out.per_device.iter().enumerate() {
-        assert_eq!(r.completed + r.dropped, r.routed, "device {d} conservation");
+        assert_eq!(
+            r.counters.completed + r.counters.dropped,
+            r.routed,
+            "device {d} conservation"
+        );
     }
     // Cluster: routed + admission drops == offered.
     let routed: u64 = out.per_device.iter().map(|r| r.routed).sum();
     assert_eq!(routed + out.admission_dropped, offered);
-    let queue_dropped: u64 = out.per_device.iter().map(|r| r.dropped).sum();
+    let queue_dropped: u64 = out.per_device.iter().map(|r| r.counters.dropped).sum();
     assert_eq!(out.admission_dropped + queue_dropped, dropped);
 }
 
@@ -112,7 +116,7 @@ fn check_horizon(out: &FleetOutcome) {
     );
     for (d, r) in out.per_device.iter().enumerate() {
         assert_eq!(
-            r.busy_cycles + r.queue_wait_cycles + r.idle_cycles,
+            r.counters.busy_cycles + r.counters.queue_wait_cycles + r.counters.idle_cycles,
             out.horizon,
             "device {d} buckets must partition the cluster horizon"
         );
@@ -120,7 +124,7 @@ fn check_horizon(out: &FleetOutcome) {
     let total: u64 = out
         .per_device
         .iter()
-        .map(|r| r.busy_cycles + r.queue_wait_cycles + r.idle_cycles)
+        .map(|r| r.counters.busy_cycles + r.counters.queue_wait_cycles + r.counters.idle_cycles)
         .sum();
     assert_eq!(total, out.per_device.len() as u64 * out.horizon);
 }
@@ -232,7 +236,7 @@ fn fleet_runs_are_pure_functions_of_their_inputs() {
     assert_eq!(a.horizon, b.horizon);
     assert_eq!(a.makespan, b.makespan);
     for (x, y) in a.per_device.iter().zip(&b.per_device) {
-        assert_eq!(x.busy_cycles, y.busy_cycles);
+        assert_eq!(x.counters.busy_cycles, y.counters.busy_cycles);
         assert_eq!(x.routed, y.routed);
     }
 }

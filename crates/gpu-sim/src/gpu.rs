@@ -9,6 +9,7 @@ use crate::simt::Warp;
 use crate::sm::Sm;
 use crate::snapshot::{BagError, SnapValue, StateBag};
 use crate::stats::SimStats;
+use trace::fields::Fold;
 use trace::{Bucket, TraceHandle, Track};
 
 /// A simulated GPU.
@@ -368,19 +369,12 @@ impl Gpu {
         for c in &mut stats.warp_completions {
             *c -= start_cycle;
         }
-        stats.l1.hits = self.mem.l1_stats.hits - l1_before.hits;
-        stats.l1.misses = self.mem.l1_stats.misses - l1_before.misses;
-        stats.l1.mshr_merges = self.mem.l1_stats.mshr_merges - l1_before.mshr_merges;
-        stats.l2.hits = self.mem.l2_stats.hits - l2_before.hits;
-        stats.l2.misses = self.mem.l2_stats.misses - l2_before.misses;
-        stats.l2.mshr_merges = self.mem.l2_stats.mshr_merges - l2_before.mshr_merges;
-        stats.dram.bytes_read = self.mem.dram_stats.bytes_read - dram_before.bytes_read;
-        stats.dram.bytes_written = self.mem.dram_stats.bytes_written - dram_before.bytes_written;
-        stats.dram.bytes_requested =
-            self.mem.dram_stats.bytes_requested - dram_before.bytes_requested;
-        stats.dram.busy_channel_cycles =
-            self.mem.dram_stats.busy_channel_cycles - dram_before.busy_channel_cycles;
-        stats.dram.transactions = self.mem.dram_stats.transactions - dram_before.transactions;
+        stats.l1 = self.mem.l1_stats;
+        stats.l1.sub(&l1_before);
+        stats.l2 = self.mem.l2_stats;
+        stats.l2.sub(&l2_before);
+        stats.dram = self.mem.dram_stats.clone();
+        stats.dram.sub(&dram_before);
         stats
     }
 

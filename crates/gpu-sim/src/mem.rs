@@ -191,15 +191,17 @@ impl GlobalMemory {
     }
 }
 
-/// Aggregate statistics of one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed (including MSHR merges).
-    pub misses: u64,
-    /// Misses merged into an in-flight fill (no new lower-level traffic).
-    pub mshr_merges: u64,
+trace::declare! {
+    /// Aggregate statistics of one cache level.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Lookups that hit.
+        pub hits: u64,
+        /// Lookups that missed (including MSHR merges).
+        pub misses: u64,
+        /// Misses merged into an in-flight fill (no new lower-level traffic).
+        pub mshr_merges: u64,
+    }
 }
 
 impl CacheStats {
@@ -214,19 +216,21 @@ impl CacheStats {
     }
 }
 
-/// DRAM activity statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DramStats {
-    /// Bytes read from DRAM (line fills).
-    pub bytes_read: u64,
-    /// Bytes written to DRAM.
-    pub bytes_written: u64,
-    /// Bytes requested by read transactions (demand traffic, before caches).
-    pub bytes_requested: u64,
-    /// Busy time summed over channels, in channel-cycles.
-    pub busy_channel_cycles: f64,
-    /// Number of DRAM transactions.
-    pub transactions: u64,
+trace::declare! {
+    /// DRAM activity statistics.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct DramStats {
+        /// Bytes read from DRAM (line fills).
+        pub bytes_read: u64,
+        /// Bytes written to DRAM.
+        pub bytes_written: u64,
+        /// Bytes requested by read transactions (demand traffic, before caches).
+        pub bytes_requested: u64,
+        /// Busy time summed over channels, in channel-cycles.
+        pub busy_channel_cycles: f64,
+        /// Number of DRAM transactions.
+        pub transactions: u64,
+    }
 }
 
 impl DramStats {
@@ -791,32 +795,9 @@ impl MemorySystem {
             self.dram_channel_busy.iter().map(|b| b.to_bits()),
         );
         bag.put_u64("next_req_id", self.next_req_id);
-        bag.put_u64_list(
-            "l1_stats",
-            [
-                self.l1_stats.hits,
-                self.l1_stats.misses,
-                self.l1_stats.mshr_merges,
-            ],
-        );
-        bag.put_u64_list(
-            "l2_stats",
-            [
-                self.l2_stats.hits,
-                self.l2_stats.misses,
-                self.l2_stats.mshr_merges,
-            ],
-        );
-        bag.put_u64_list(
-            "dram_stats",
-            [
-                self.dram_stats.bytes_read,
-                self.dram_stats.bytes_written,
-                self.dram_stats.bytes_requested,
-                self.dram_stats.busy_channel_cycles.to_bits(),
-                self.dram_stats.transactions,
-            ],
-        );
+        bag.put_fields("l1_stats", &self.l1_stats);
+        bag.put_fields("l2_stats", &self.l2_stats);
+        bag.put_fields("dram_stats", &self.dram_stats);
         bag
     }
 
@@ -858,29 +839,9 @@ impl MemorySystem {
         }
         self.dram_channel_busy = chans.into_iter().map(f64::from_bits).collect();
         self.next_req_id = bag.u64("next_req_id")?;
-        let s1 = bag.u64_list("l1_stats")?;
-        let s2 = bag.u64_list("l2_stats")?;
-        let sd = bag.u64_list("dram_stats")?;
-        if s1.len() != 3 || s2.len() != 3 || sd.len() != 5 {
-            return Err(BagError::Mismatch("bad stats arity".into()));
-        }
-        self.l1_stats = CacheStats {
-            hits: s1[0],
-            misses: s1[1],
-            mshr_merges: s1[2],
-        };
-        self.l2_stats = CacheStats {
-            hits: s2[0],
-            misses: s2[1],
-            mshr_merges: s2[2],
-        };
-        self.dram_stats = DramStats {
-            bytes_read: sd[0],
-            bytes_written: sd[1],
-            bytes_requested: sd[2],
-            busy_channel_cycles: f64::from_bits(sd[3]),
-            transactions: sd[4],
-        };
+        self.l1_stats = bag.fields("l1_stats")?;
+        self.l2_stats = bag.fields("l2_stats")?;
+        self.dram_stats = bag.fields("dram_stats")?;
         Ok(())
     }
 }

@@ -17,8 +17,13 @@
 //! overlaid onto that identically-configured host. Containers with
 //! nondeterministic iteration order (`HashMap`, `BinaryHeap`) are exported
 //! in sorted order so equal states export equal bags.
+//!
+//! Declared counter structs ([`trace::fields`]) travel as nested bags, one
+//! named entry per field ([`StateBag::put_fields`], [`StateBag::fields`]).
 
 use std::fmt;
+
+use trace::fields::{Declared, Reader, Value, Writer};
 
 /// Error from reading a [`StateBag`] (missing entry, kind mismatch, or a
 /// value inconsistent with the host the bag is being restored onto).
@@ -249,6 +254,84 @@ impl StateBag {
         }
         out.push('}');
         out
+    }
+}
+
+impl StateBag {
+    /// Appends a declared value (a counter struct, a list of them, a leaf)
+    /// under `name`.
+    pub fn put_fields<T: Value>(&mut self, name: &str, v: &T) {
+        v.write(name, self);
+    }
+
+    /// Reads a value written by [`StateBag::put_fields`].
+    ///
+    /// # Errors
+    ///
+    /// [`BagError::Missing`] / [`BagError::WrongKind`] naming the first
+    /// field that is absent or of another kind.
+    pub fn fields<T: Value + Default>(&self, name: &str) -> Result<T, BagError> {
+        let mut v = T::default();
+        v.read(name, &mut &*self)?;
+        Ok(v)
+    }
+}
+
+/// Declared structs become nested bags, one entry per field.
+impl Writer for StateBag {
+    fn u64(&mut self, name: &str, v: u64) {
+        self.put_u64(name, v);
+    }
+    fn f64(&mut self, name: &str, v: f64) {
+        self.put_f64(name, v);
+    }
+    fn str(&mut self, name: &str, v: &str) {
+        self.put_bytes(name, v.as_bytes().to_vec());
+    }
+    fn u64s(&mut self, name: &str, v: &[u64]) {
+        self.put_u64_list(name, v.iter().copied());
+    }
+    fn record<T: Declared>(&mut self, name: &str, v: &T) {
+        self.put(name, record_bag(v));
+    }
+    fn records<T: Declared>(&mut self, name: &str, v: &[T]) {
+        self.put_list(name, v.iter().map(record_bag).collect());
+    }
+}
+
+fn record_bag<T: Declared>(v: &T) -> SnapValue {
+    let mut bag = StateBag::new();
+    v.visit(&mut bag);
+    SnapValue::Bag(bag)
+}
+
+impl Reader for &StateBag {
+    type Error = BagError;
+    fn u64(&mut self, name: &str) -> Result<u64, BagError> {
+        StateBag::u64(self, name)
+    }
+    fn f64(&mut self, name: &str) -> Result<f64, BagError> {
+        StateBag::f64(self, name)
+    }
+    fn str(&mut self, name: &str) -> Result<String, BagError> {
+        String::from_utf8(self.bytes(name)?.to_vec()).map_err(|_| BagError::WrongKind(name.into()))
+    }
+    fn u64s(&mut self, name: &str) -> Result<Vec<u64>, BagError> {
+        self.u64_list(name)
+    }
+    fn record<T: Declared>(&mut self, name: &str, into: &mut T) -> Result<(), BagError> {
+        into.read_fields(&mut self.bag(name)?)
+    }
+    fn records<T: Declared + Default>(&mut self, name: &str) -> Result<Vec<T>, BagError> {
+        let read = |v: &SnapValue| {
+            let SnapValue::Bag(b) = v else {
+                return Err(BagError::WrongKind(name.to_owned()));
+            };
+            let mut row = T::default();
+            row.read_fields(&mut &*b)?;
+            Ok(row)
+        };
+        self.list(name)?.iter().map(read).collect()
     }
 }
 

@@ -2,21 +2,22 @@
 
 use crate::isa::InstrClass;
 use crate::mem::{CacheStats, DramStats};
-use crate::snapshot::{BagError, StateBag};
 use trace::CycleAttribution;
 
-/// Dynamic instruction counts by category (lane-level, i.e. one increment
-/// per *active lane* per issued instruction — the quantity Fig. 20 plots).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InstrMix {
-    /// Arithmetic/logic/move instructions.
-    pub alu: u64,
-    /// Branches and jumps.
-    pub control: u64,
-    /// Loads and stores.
-    pub memory: u64,
-    /// Offloaded traversal instructions.
-    pub traverse: u64,
+trace::declare! {
+    /// Dynamic instruction counts by category (lane-level, i.e. one increment
+    /// per *active lane* per issued instruction — the quantity Fig. 20 plots).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct InstrMix {
+        /// Arithmetic/logic/move instructions.
+        pub alu: u64,
+        /// Branches and jumps.
+        pub control: u64,
+        /// Loads and stores.
+        pub memory: u64,
+        /// Offloaded traversal instructions.
+        pub traverse: u64,
+    }
 }
 
 impl InstrMix {
@@ -36,46 +37,51 @@ impl InstrMix {
     }
 }
 
-/// Full statistics of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimStats {
-    /// Lanes per warp of the configuration that produced these stats
-    /// (denominator of [`SimStats::simt_efficiency`]). Defaults to 32.
-    pub warp_size: u32,
-    /// Total elapsed cycles.
-    pub cycles: u64,
-    /// Warp-instructions issued by the SIMT cores.
-    pub warp_instrs: u64,
-    /// Sum of active lanes over issued instructions.
-    pub lane_instrs: u64,
-    /// Lane-level instruction mix.
-    pub mix: InstrMix,
-    /// Floating-point lane operations (roofline numerator).
-    pub flops: u64,
-    /// L1 statistics (all SMs aggregated).
-    pub l1: CacheStats,
-    /// L2 statistics.
-    pub l2: CacheStats,
-    /// DRAM statistics.
-    pub dram: DramStats,
-    /// Number of DRAM channels (to compute utilization).
-    pub dram_channels: usize,
-    /// Warps that executed a Traverse offload.
-    pub traversals_offloaded: u64,
-    /// Cycles during which at least one SM issued an instruction.
-    pub sm_active_cycles: u64,
-    /// Where every cycle of the run went. Always populated by
-    /// [`crate::Gpu::launch`] (independent of tracing); the buckets
-    /// partition the run, so `attribution.total() == cycles` — this is
-    /// debug-asserted after every launch.
-    pub attribution: CycleAttribution,
-    /// Completion cycle of each warp, indexed by warp id and relative to
-    /// the launch start (the cycle the warp issued its `Exit`). Filled by
-    /// [`crate::Gpu::launch`]; the serving layer turns these into
-    /// per-query latencies. When launches are summed
-    /// (`workloads::runner::sum_stats`), later launches' entries are
-    /// shifted by the cycles of the preceding launches and appended.
-    pub warp_completions: Vec<u64>,
+trace::declare! {
+    /// Full statistics of one simulation run. Its JSON form
+    /// ([`trace::json::object`]) is the run journal's `"stats"` section and
+    /// its snapshot form ([`StateBag::put_fields`](crate::snapshot::StateBag::put_fields))
+    /// carries the `f64` DRAM accumulator bit-exact.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimStats {
+        /// Lanes per warp of the configuration that produced these stats
+        /// (denominator of [`SimStats::simt_efficiency`]). Defaults to 32.
+        pub warp_size: u32 => keep,
+        /// Total elapsed cycles.
+        pub cycles: u64,
+        /// Warp-instructions issued by the SIMT cores.
+        pub warp_instrs: u64,
+        /// Sum of active lanes over issued instructions.
+        pub lane_instrs: u64,
+        /// Lane-level instruction mix.
+        pub mix: InstrMix,
+        /// Floating-point lane operations (roofline numerator).
+        pub flops: u64,
+        /// L1 statistics (all SMs aggregated).
+        pub l1: CacheStats,
+        /// L2 statistics.
+        pub l2: CacheStats,
+        /// DRAM statistics.
+        pub dram: DramStats,
+        /// Number of DRAM channels (to compute utilization).
+        pub dram_channels: usize => keep,
+        /// Warps that executed a Traverse offload.
+        pub traversals_offloaded: u64,
+        /// Cycles during which at least one SM issued an instruction.
+        pub sm_active_cycles: u64,
+        /// Where every cycle of the run went. Always populated by
+        /// [`crate::Gpu::launch`] (independent of tracing); the buckets
+        /// partition the run, so `attribution.total() == cycles` — this is
+        /// debug-asserted after every launch.
+        pub attribution: CycleAttribution,
+        /// Completion cycle of each warp, indexed by warp id and relative to
+        /// the launch start (the cycle the warp issued its `Exit`). Filled by
+        /// [`crate::Gpu::launch`]; the serving layer turns these into
+        /// per-query latencies. When launches are summed
+        /// (`workloads::runner::sum_stats`), later launches' entries are
+        /// shifted by the cycles of the preceding launches and appended.
+        pub warp_completions: Vec<u64> => keep,
+    }
 }
 
 impl Default for SimStats {
@@ -197,169 +203,6 @@ impl SimStats {
     pub fn warp_completion_histogram(&self, bucket_width: u64) -> Vec<(u64, u64)> {
         histogram(&self.warp_completions, bucket_width)
     }
-
-    /// Exports every counter into a [`StateBag`] (snapshot support).
-    /// Equal stats export equal bags; [`SimStats::from_bag`] inverts this
-    /// exactly, including the `f64` DRAM busy-cycle accumulator (stored
-    /// bit-exact).
-    pub fn to_bag(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("warp_size", u64::from(self.warp_size));
-        bag.put_u64("cycles", self.cycles);
-        bag.put_u64("warp_instrs", self.warp_instrs);
-        bag.put_u64("lane_instrs", self.lane_instrs);
-        bag.put_u64_list(
-            "mix",
-            [
-                self.mix.alu,
-                self.mix.control,
-                self.mix.memory,
-                self.mix.traverse,
-            ],
-        );
-        bag.put_u64("flops", self.flops);
-        bag.put_u64_list("l1", [self.l1.hits, self.l1.misses, self.l1.mshr_merges]);
-        bag.put_u64_list("l2", [self.l2.hits, self.l2.misses, self.l2.mshr_merges]);
-        bag.put_u64_list(
-            "dram",
-            [
-                self.dram.bytes_read,
-                self.dram.bytes_written,
-                self.dram.bytes_requested,
-                self.dram.busy_channel_cycles.to_bits(),
-                self.dram.transactions,
-            ],
-        );
-        bag.put_u64("dram_channels", self.dram_channels as u64);
-        bag.put_u64("traversals_offloaded", self.traversals_offloaded);
-        bag.put_u64("sm_active_cycles", self.sm_active_cycles);
-        bag.put_u64_list(
-            "attribution",
-            [
-                self.attribution.simt_busy,
-                self.attribution.simt_stall_mem,
-                self.attribution.simt_stall_other,
-                self.attribution.accel_busy,
-                self.attribution.accel_starved,
-                self.attribution.queue_wait,
-                self.attribution.device_idle,
-            ],
-        );
-        bag.put_u64_list("warp_completions", self.warp_completions.iter().copied());
-        bag
-    }
-
-    /// Rebuilds stats from a bag produced by [`SimStats::to_bag`].
-    ///
-    /// # Errors
-    ///
-    /// [`BagError`] when an entry is missing, mistyped, or a fixed-arity
-    /// list has the wrong length.
-    pub fn from_bag(bag: &StateBag) -> Result<Self, BagError> {
-        fn fixed<const N: usize>(bag: &StateBag, name: &str) -> Result<[u64; N], BagError> {
-            let v = bag.u64_list(name)?;
-            v.try_into()
-                .map_err(|_| BagError::Mismatch(format!("`{name}` has the wrong arity")))
-        }
-        let mix = fixed::<4>(bag, "mix")?;
-        let l1 = fixed::<3>(bag, "l1")?;
-        let l2 = fixed::<3>(bag, "l2")?;
-        let dram = fixed::<5>(bag, "dram")?;
-        let attr = fixed::<7>(bag, "attribution")?;
-        Ok(SimStats {
-            warp_size: bag.u64("warp_size")? as u32,
-            cycles: bag.u64("cycles")?,
-            warp_instrs: bag.u64("warp_instrs")?,
-            lane_instrs: bag.u64("lane_instrs")?,
-            mix: InstrMix {
-                alu: mix[0],
-                control: mix[1],
-                memory: mix[2],
-                traverse: mix[3],
-            },
-            flops: bag.u64("flops")?,
-            l1: CacheStats {
-                hits: l1[0],
-                misses: l1[1],
-                mshr_merges: l1[2],
-            },
-            l2: CacheStats {
-                hits: l2[0],
-                misses: l2[1],
-                mshr_merges: l2[2],
-            },
-            dram: DramStats {
-                bytes_read: dram[0],
-                bytes_written: dram[1],
-                bytes_requested: dram[2],
-                busy_channel_cycles: f64::from_bits(dram[3]),
-                transactions: dram[4],
-            },
-            dram_channels: bag.u64("dram_channels")? as usize,
-            traversals_offloaded: bag.u64("traversals_offloaded")?,
-            sm_active_cycles: bag.u64("sm_active_cycles")?,
-            attribution: CycleAttribution {
-                simt_busy: attr[0],
-                simt_stall_mem: attr[1],
-                simt_stall_other: attr[2],
-                accel_busy: attr[3],
-                accel_starved: attr[4],
-                queue_wait: attr[5],
-                device_idle: attr[6],
-            },
-            warp_completions: bag.u64_list("warp_completions")?,
-        })
-    }
-
-    /// Serializes the raw counters as a JSON object with a stable field
-    /// order, integers verbatim and the one float through
-    /// [`trace::json::num`], so equal stats always produce
-    /// byte-identical text (the run-journal determinism contract).
-    /// Derived metrics ([`Self::simt_efficiency`] etc.) are intentionally
-    /// not included here; journal writers add them alongside.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"warp_size\":{},\"cycles\":{},\"warp_instrs\":{},\"lane_instrs\":{},\
-             \"mix\":{{\"alu\":{},\"control\":{},\"memory\":{},\"traverse\":{}}},\
-             \"flops\":{},\
-             \"l1\":{{\"hits\":{},\"misses\":{},\"mshr_merges\":{}}},\
-             \"l2\":{{\"hits\":{},\"misses\":{},\"mshr_merges\":{}}},\
-             \"dram\":{{\"bytes_read\":{},\"bytes_written\":{},\"bytes_requested\":{},\
-             \"busy_channel_cycles\":{},\"transactions\":{}}},\
-             \"dram_channels\":{},\"traversals_offloaded\":{},\"sm_active_cycles\":{},\
-             \"attribution\":{},\
-             \"warp_completions\":[{}]}}",
-            self.warp_size,
-            self.cycles,
-            self.warp_instrs,
-            self.lane_instrs,
-            self.mix.alu,
-            self.mix.control,
-            self.mix.memory,
-            self.mix.traverse,
-            self.flops,
-            self.l1.hits,
-            self.l1.misses,
-            self.l1.mshr_merges,
-            self.l2.hits,
-            self.l2.misses,
-            self.l2.mshr_merges,
-            self.dram.bytes_read,
-            self.dram.bytes_written,
-            self.dram.bytes_requested,
-            trace::json::num(self.dram.busy_channel_cycles),
-            self.dram.transactions,
-            self.dram_channels,
-            self.traversals_offloaded,
-            self.sm_active_cycles,
-            self.attribution.to_json(),
-            self.warp_completions
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -461,8 +304,8 @@ mod tests {
         };
         s.mix.alu = 150;
         s.dram.bytes_read = 4096;
-        let a = s.to_json();
-        let b = s.clone().to_json();
+        let a = trace::json::object(&s);
+        let b = trace::json::object(&s.clone());
         assert_eq!(a, b, "equal stats must serialize byte-identically");
         for key in [
             "\"cycles\":42",
@@ -536,36 +379,9 @@ mod tests {
             warp_completions: vec![7, 11],
             ..Default::default()
         };
-        assert!(s.to_json().contains("\"warp_completions\":[7,11]"));
+        assert!(trace::json::object(&s).contains("\"warp_completions\":[7,11]"));
         let none = SimStats::default();
-        assert!(none.to_json().contains("\"warp_completions\":[]"));
-    }
-
-    #[test]
-    fn state_bag_roundtrip_is_exact() {
-        let mut s = SimStats {
-            warp_size: 16,
-            cycles: 1234,
-            warp_instrs: 99,
-            lane_instrs: 1200,
-            flops: 7,
-            dram_channels: 6,
-            traversals_offloaded: 3,
-            sm_active_cycles: 1100,
-            warp_completions: vec![10, 20, 1234],
-            ..Default::default()
-        };
-        s.mix.alu = 800;
-        s.mix.memory = 300;
-        s.l1.hits = 50;
-        s.l2.misses = 8;
-        s.dram.bytes_read = 4096;
-        s.dram.busy_channel_cycles = 123.456;
-        s.attribution.simt_busy = 600;
-        s.attribution.accel_busy = 400;
-        let back = SimStats::from_bag(&s.to_bag()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_json(), s.to_json());
+        assert!(trace::json::object(&none).contains("\"warp_completions\":[]"));
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! registry access → no `serde`) and **deterministic**: stable field
 //! order, integer counters verbatim, strings via [`trace::json::quote`],
 //! floats via [`trace::json::num`] (shortest-roundtrip `Display`,
-//! `NaN`/infinities as `null`). Equal result lists therefore serialize to
-//! byte-identical text, which is what the 1-thread-vs-N-thread
-//! determinism test asserts.
+//! `NaN`/infinities as `null`), counter and summary sections via
+//! [`trace::json::object`] in their declared field order. Equal result
+//! lists therefore serialize to byte-identical text, which is what the
+//! 1-thread-vs-N-thread determinism test asserts.
 //!
 //! Wall-clock timings are deliberately **not** part of the journal — they
 //! differ run to run and would break byte-identity. [`crate::sweep`]
 //! writes them to a separate `.timing.json` sidecar.
 
-use trace::json::{num, quote};
-use workloads::{AccelReport, RunResult, ServeSummary};
+use trace::fields::Declared;
+use trace::json::{num, object, quote};
+use workloads::RunResult;
 
 /// Journal schema version (bump on breaking shape changes).
 ///
@@ -74,191 +76,21 @@ fn run_json(r: &RunResult) -> String {
         "      \"core_instructions\": {},\n",
         r.core_instructions()
     ));
-    out.push_str(&format!("      \"stats\": {},\n", r.stats.to_json()));
+    out.push_str(&format!("      \"stats\": {},\n", object(&r.stats)));
     out.push_str(&format!(
         "      \"attribution\": {},\n",
-        r.stats.attribution.to_json()
+        object(&r.stats.attribution)
     ));
-    match &r.serve {
-        Some(s) => out.push_str(&format!("      \"serve\": {},\n", serve_json(s))),
-        None => out.push_str("      \"serve\": null,\n"),
-    }
-    match &r.fleet {
-        Some(f) => out.push_str(&format!("      \"fleet\": {},\n", fleet_json(f))),
-        None => out.push_str("      \"fleet\": null,\n"),
-    }
-    match &r.accel {
-        Some(a) => out.push_str(&format!("      \"accel\": {}\n", accel_json(a))),
-        None => out.push_str("      \"accel\": null\n"),
-    }
+    out.push_str(&format!("      \"serve\": {},\n", section(&r.serve)));
+    out.push_str(&format!("      \"fleet\": {},\n", section(&r.fleet)));
+    out.push_str(&format!("      \"accel\": {}\n", section(&r.accel)));
     out.push_str("    }");
     out
 }
 
-/// The serving-metrics journal section: one flat object, stable field
-/// order, integer cycle counters verbatim, rates via [`num`] — the same
-/// determinism contract as the rest of the journal.
-fn serve_json(s: &ServeSummary) -> String {
-    format!(
-        "{{\"policy\":{},\"backend\":{},\"arrival_mean_cycles\":{},\
-         \"offered\":{},\"admitted\":{},\"dropped\":{},\"completed\":{},\
-         \"batches\":{},\
-         \"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\"max_latency\":{},\
-         \"throughput_qpkc\":{},\"max_queue_depth\":{},\"makespan_cycles\":{},\
-         \"queue_wait_cycles\":{},\"idle_cycles\":{},\"horizon_cycles\":{}}}",
-        quote(&s.policy),
-        quote(&s.backend),
-        num(s.arrival_mean_cycles),
-        s.offered,
-        s.admitted,
-        s.dropped,
-        s.completed,
-        s.batches,
-        s.p50_latency,
-        s.p95_latency,
-        s.p99_latency,
-        s.max_latency,
-        num(s.throughput_qpkc),
-        s.max_queue_depth,
-        s.makespan_cycles,
-        s.queue_wait_cycles,
-        s.idle_cycles,
-        s.horizon_cycles,
-    )
-}
-
-/// The fleet-metrics journal section (schema v4): one object with nested
-/// `per_device` / `per_class` arrays, stable field order, integer cycle
-/// counters verbatim, rates via [`num`] — the same determinism contract as
-/// the rest of the journal.
-fn fleet_json(f: &workloads::FleetSummary) -> String {
-    let devices: Vec<String> = f
-        .per_device
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"device\":{},\"batches\":{},\"completed\":{},\"dropped\":{},\
-                 \"busy_cycles\":{},\"queue_wait_cycles\":{},\"idle_cycles\":{},\
-                 \"max_queue_depth\":{},\"shard_misses\":{},\"cold_starts\":{}}}",
-                d.device,
-                d.batches,
-                d.completed,
-                d.dropped,
-                d.busy_cycles,
-                d.queue_wait_cycles,
-                d.idle_cycles,
-                d.max_queue_depth,
-                d.shard_misses,
-                d.cold_starts,
-            )
-        })
-        .collect();
-    let classes: Vec<String> = f
-        .per_class
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"class\":{},\"deadline_cycles\":{},\"offered\":{},\"completed\":{},\
-                 \"dropped\":{},\"slo_misses\":{},\"p50_latency\":{},\"p99_latency\":{},\
-                 \"max_latency\":{}}}",
-                quote(&c.class),
-                c.deadline_cycles,
-                c.offered,
-                c.completed,
-                c.dropped,
-                c.slo_misses,
-                c.p50_latency,
-                c.p99_latency,
-                c.max_latency,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"router\":{},\"backend\":{},\"policy\":{},\"devices\":{},\"shards\":{},\
-         \"replication\":{},\"shard_miss_penalty\":{},\"arrival_mean_cycles\":{},\
-         \"offered\":{},\"admitted\":{},\"dropped\":{},\"completed\":{},\"batches\":{},\
-         \"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\"max_latency\":{},\
-         \"throughput_qpkc\":{},\"slo_misses\":{},\"shard_hits\":{},\"shard_misses\":{},\
-         \"cold_starts\":{},\"makespan_cycles\":{},\"horizon_cycles\":{},\
-         \"per_device\":[{}],\"per_class\":[{}]}}",
-        quote(&f.router),
-        quote(&f.backend),
-        quote(&f.policy),
-        f.devices,
-        f.shards,
-        f.replication,
-        f.shard_miss_penalty,
-        num(f.arrival_mean_cycles),
-        f.offered,
-        f.admitted,
-        f.dropped,
-        f.completed,
-        f.batches,
-        f.p50_latency,
-        f.p95_latency,
-        f.p99_latency,
-        f.max_latency,
-        num(f.throughput_qpkc),
-        f.slo_misses,
-        f.shard_hits,
-        f.shard_misses,
-        f.cold_starts,
-        f.makespan_cycles,
-        f.horizon_cycles,
-        devices.join(","),
-        classes.join(","),
-    )
-}
-
-fn accel_json(a: &AccelReport) -> String {
-    let e = &a.engine;
-    let units: Vec<String> = a
-        .units
-        .iter()
-        .map(|(name, s)| {
-            format!(
-                "{{\"name\":{},\"invocations\":{},\"busy_cycles\":{},\
-                 \"peak_in_flight\":{},\"total_latency\":{}}}",
-                quote(name),
-                s.invocations,
-                s.busy_cycles,
-                s.peak_in_flight,
-                s.total_latency
-            )
-        })
-        .collect();
-    let programs: Vec<String> = a
-        .programs
-        .iter()
-        .map(|(name, s)| {
-            format!(
-                "{{\"name\":{},\"invocations\":{},\"total_latency\":{},\"icnt_cycles\":{}}}",
-                quote(name),
-                s.invocations,
-                s.total_latency,
-                s.icnt_cycles
-            )
-        })
-        .collect();
-    format!(
-        "{{\"engine\":{{\"warps_accepted\":{},\"rays_completed\":{},\"node_fetches\":{},\
-         \"fetch_merges\":{},\"nodes_processed\":{},\"warp_buffer_accesses\":{},\
-         \"prefetches\":{},\"busy_cycles\":{}}},\
-         \"units\":[{}],\"programs\":[{}],\
-         \"shader_lane_instructions\":{},\"traversals\":{}}}",
-        e.warps_accepted,
-        e.rays_completed,
-        e.node_fetches,
-        e.fetch_merges,
-        e.nodes_processed,
-        e.warp_buffer_accesses,
-        e.prefetches,
-        e.busy_cycles,
-        units.join(","),
-        programs.join(","),
-        a.shader_lane_instructions,
-        a.traversals
-    )
+/// An optional section: the declared struct's object, or `null`.
+fn section<T: Declared>(v: &Option<T>) -> String {
+    v.as_ref().map_or_else(|| "null".to_owned(), object)
 }
 
 /// Timing sidecar: wall-clock per run and for the whole sweep. Lives next
@@ -297,6 +129,7 @@ pub fn timing_json(
 mod tests {
     use super::*;
     use gpu_sim::SimStats;
+    use workloads::ServeSummary;
 
     fn result(label: &str, cycles: u64) -> RunResult {
         let mut stats = SimStats {

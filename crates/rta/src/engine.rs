@@ -115,38 +115,26 @@ pub trait TraversalSemantics: std::fmt::Debug {
     }
 }
 
-/// Aggregate engine statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Warps accepted into the warp buffer.
-    pub warps_accepted: u64,
-    /// Rays fully traversed.
-    pub rays_completed: u64,
-    /// Node fetch requests issued to the memory system.
-    pub node_fetches: u64,
-    /// Fetches merged with an in-flight request for the same address.
-    pub fetch_merges: u64,
-    /// Total nodes processed (intersection-test invocation points).
-    pub nodes_processed: u64,
-    /// Warp-buffer accesses (ray-register reads/writes around each test).
-    pub warp_buffer_accesses: u64,
-    /// Speculative child prefetches issued.
-    pub prefetches: u64,
-    /// Cycles with at least one ray resident (accelerator active time).
-    pub busy_cycles: u64,
-}
-
-impl EngineStats {
-    /// Accumulates another engine's counters into this one (all eight).
-    pub fn add(&mut self, o: &EngineStats) {
-        self.warps_accepted += o.warps_accepted;
-        self.rays_completed += o.rays_completed;
-        self.node_fetches += o.node_fetches;
-        self.fetch_merges += o.fetch_merges;
-        self.nodes_processed += o.nodes_processed;
-        self.warp_buffer_accesses += o.warp_buffer_accesses;
-        self.prefetches += o.prefetches;
-        self.busy_cycles += o.busy_cycles;
+trace::declare! {
+    /// Aggregate engine statistics.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        /// Warps accepted into the warp buffer.
+        pub warps_accepted: u64,
+        /// Rays fully traversed.
+        pub rays_completed: u64,
+        /// Node fetch requests issued to the memory system.
+        pub node_fetches: u64,
+        /// Fetches merged with an in-flight request for the same address.
+        pub fetch_merges: u64,
+        /// Total nodes processed (intersection-test invocation points).
+        pub nodes_processed: u64,
+        /// Warp-buffer accesses (ray-register reads/writes around each test).
+        pub warp_buffer_accesses: u64,
+        /// Speculative child prefetches issued.
+        pub prefetches: u64,
+        /// Cycles with at least one ray resident (accelerator active time).
+        pub busy_cycles: u64,
     }
 }
 
@@ -627,19 +615,7 @@ impl Accelerator for TraversalEngine {
         bag.put_u64("next_issue_slot", self.next_issue_slot);
         bag.put_u64("next_arbiter_slot", self.next_arbiter_slot);
         bag.put_u64("traversals", self.traversals);
-        bag.put_u64_list(
-            "stats",
-            [
-                self.stats.warps_accepted,
-                self.stats.rays_completed,
-                self.stats.node_fetches,
-                self.stats.fetch_merges,
-                self.stats.nodes_processed,
-                self.stats.warp_buffer_accesses,
-                self.stats.prefetches,
-                self.stats.busy_cycles,
-            ],
-        );
+        bag.put_fields("stats", &self.stats);
         bag.put_bag("backend", self.backend.export_state());
         bag
     }
@@ -669,20 +645,7 @@ impl Accelerator for TraversalEngine {
         self.next_issue_slot = bag.u64("next_issue_slot")?;
         self.next_arbiter_slot = bag.u64("next_arbiter_slot")?;
         self.traversals = bag.u64("traversals")?;
-        let s = bag.u64_list("stats")?;
-        let s: [u64; 8] = s
-            .try_into()
-            .map_err(|_| BagError::Mismatch("engine stats arity".to_owned()))?;
-        self.stats = EngineStats {
-            warps_accepted: s[0],
-            rays_completed: s[1],
-            node_fetches: s[2],
-            fetch_merges: s[3],
-            nodes_processed: s[4],
-            warp_buffer_accesses: s[5],
-            prefetches: s[6],
-            busy_cycles: s[7],
-        };
+        self.stats = bag.fields("stats")?;
         self.backend.import_state(bag.bag("backend")?)?;
         Ok(())
     }

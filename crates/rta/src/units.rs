@@ -14,6 +14,7 @@
 
 use crate::config::RtaConfig;
 use gpu_sim::snapshot::{BagError, StateBag};
+use trace::fields::Fold;
 
 /// Which hardware path performs a test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,17 +36,19 @@ pub enum TestKind {
     Program(u16),
 }
 
-/// Occupancy statistics of one unit (Fig. 15 / Fig. 18 top).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UnitStats {
-    /// Operations executed.
-    pub invocations: u64,
-    /// Cycles the unit was occupied (sum of latencies).
-    pub busy_cycles: u64,
-    /// Peak concurrent operations in flight.
-    pub peak_in_flight: usize,
-    /// Average intersection latency observed (including queueing).
-    pub total_latency: u64,
+trace::declare! {
+    /// Occupancy statistics of one unit (Fig. 15 / Fig. 18 top).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct UnitStats {
+        /// Operations executed.
+        pub invocations: u64,
+        /// Cycles the unit was occupied (sum of latencies).
+        pub busy_cycles: u64,
+        /// Peak concurrent operations in flight.
+        pub peak_in_flight: usize => max,
+        /// Average intersection latency observed (including queueing).
+        pub total_latency: u64,
+    }
 }
 
 impl UnitStats {
@@ -140,10 +143,7 @@ impl PipelinedUnit {
         // Retained lazily, so stale end-times are part of the state: the
         // peak-occupancy accounting of the next `schedule` depends on them.
         bag.put_u64_list("in_flight", self.in_flight.iter().copied());
-        bag.put_u64("invocations", self.stats.invocations);
-        bag.put_u64("busy_cycles", self.stats.busy_cycles);
-        bag.put_u64("peak_in_flight", self.stats.peak_in_flight as u64);
-        bag.put_u64("total_latency", self.stats.total_latency);
+        bag.put_fields("stats", &self.stats);
         bag
     }
 
@@ -155,12 +155,16 @@ impl PipelinedUnit {
     pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
         self.next_issue = bag.u64("next_issue")?;
         self.in_flight = bag.u64_list("in_flight")?;
-        self.stats.invocations = bag.u64("invocations")?;
-        self.stats.busy_cycles = bag.u64("busy_cycles")?;
-        self.stats.peak_in_flight = bag.u64("peak_in_flight")? as usize;
-        self.stats.total_latency = bag.u64("total_latency")?;
+        self.stats = bag.fields("stats")?;
         Ok(())
     }
+}
+
+/// A bank's statistics folded into one row (peaks maxed, the rest summed).
+pub fn pool_stats(units: &[PipelinedUnit]) -> UnitStats {
+    let mut total = UnitStats::default();
+    units.iter().for_each(|u| total.add(&u.stats));
+    total
 }
 
 /// Exports a bank of units as a list of per-unit bags.
@@ -324,22 +328,12 @@ impl IntersectionBackend for FixedFunctionBackend {
     }
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let mut out = Vec::new();
-        let fold = |units: &[PipelinedUnit]| {
-            let mut s = UnitStats::default();
-            for u in units {
-                s.invocations += u.stats.invocations;
-                s.busy_cycles += u.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(u.stats.peak_in_flight);
-                s.total_latency += u.stats.total_latency;
-            }
-            s
-        };
-        out.push(("RayBox".to_owned(), fold(&self.box_units)));
-        out.push(("RayTriangle".to_owned(), fold(&self.tri_units)));
-        out.push(("Transform".to_owned(), self.xform_unit.stats.clone()));
-        out.push(("IntersectionShader".to_owned(), self.shader.stats.clone()));
-        out
+        vec![
+            ("RayBox".to_owned(), pool_stats(&self.box_units)),
+            ("RayTriangle".to_owned(), pool_stats(&self.tri_units)),
+            ("Transform".to_owned(), self.xform_unit.stats.clone()),
+            ("IntersectionShader".to_owned(), self.shader.stats.clone()),
+        ]
     }
 
     fn export_state(&self) -> StateBag {

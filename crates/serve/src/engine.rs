@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use gpu_sim::snapshot::{BagError, SnapValue, StateBag};
+use gpu_sim::snapshot::{BagError, StateBag};
 use gpu_sim::SimStats;
 use trace::{Bucket, CycleAttribution, TraceHandle, Track};
 
@@ -107,22 +107,12 @@ impl QueryOutcome {
 pub struct ServeOutcome {
     /// One entry per offered query, in stream order.
     pub queries: Vec<QueryOutcome>,
-    /// Kernel batches launched.
-    pub batches: u64,
-    /// Deepest the wait queue ever got (measured after each admission).
-    pub max_queue_depth: usize,
-    /// Queries rejected by backpressure.
-    pub dropped: u64,
+    /// The device's counters, settled at the horizon.
+    pub counters: DeviceCounters,
     /// Virtual cycle at which the last query completed.
     pub makespan: u64,
     /// Per-launch simulator stats, in launch order.
     pub launch_stats: Vec<SimStats>,
-    /// Device-free cycles spent with a non-empty queue (waiting for the
-    /// batch policy to trigger).
-    pub queue_wait_cycles: u64,
-    /// Device-free cycles spent with an empty queue (waiting for
-    /// arrivals).
-    pub idle_cycles: u64,
     /// Virtual cycle at which the device last went quiet. The invariant
     /// `Σ launch cycles + queue_wait_cycles + idle_cycles == horizon`
     /// holds on every run (the serve-side partition).
@@ -161,13 +151,29 @@ pub struct DeviceEngine {
     queue: VecDeque<(usize, u64)>,
     device_free_at: u64,
     launch_stats: Vec<SimStats>,
-    batches: u64,
-    max_queue_depth: usize,
-    dropped: u64,
-    completed: u64,
-    busy_cycles: u64,
-    queue_wait_cycles: u64,
-    idle_cycles: u64,
+    counters: DeviceCounters,
+}
+
+trace::declare! {
+    /// A device's accounting counters, as [`DeviceEngine::counters`]
+    /// reports them.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct DeviceCounters {
+        /// Batches launched.
+        pub batches: u64,
+        /// Deepest the queue ever got (measured after each admission).
+        pub max_queue_depth: usize => max,
+        /// Queries rejected by the queue bound.
+        pub dropped: u64,
+        /// Queries completed.
+        pub completed: u64,
+        /// Device-busy cycles accumulated by launches.
+        pub busy_cycles: u64,
+        /// Device-free cycles spent with a non-empty queue.
+        pub queue_wait_cycles: u64,
+        /// Device-free cycles spent with an empty queue.
+        pub idle_cycles: u64,
+    }
 }
 
 impl DeviceEngine {
@@ -193,13 +199,7 @@ impl DeviceEngine {
             queue: VecDeque::new(),
             device_free_at: 0,
             launch_stats: Vec::new(),
-            batches: 0,
-            max_queue_depth: 0,
-            dropped: 0,
-            completed: 0,
-            busy_cycles: 0,
-            queue_wait_cycles: 0,
-            idle_cycles: 0,
+            counters: DeviceCounters::default(),
         }
     }
 
@@ -210,13 +210,13 @@ impl DeviceEngine {
             .queue_capacity
             .is_some_and(|cap| self.queue.len() >= cap);
         if full {
-            self.dropped += 1;
+            self.counters.dropped += 1;
             self.trace
                 .instant(self.queue_track, "dropped", cycle, id as u64);
             false
         } else {
             self.queue.push_back((id, cycle));
-            self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+            self.counters.max_queue_depth = self.counters.max_queue_depth.max(self.queue.len());
             true
         }
     }
@@ -302,9 +302,9 @@ impl DeviceEngine {
             batch.len() as u64,
         );
         self.device_free_at = now + stats.cycles;
-        self.batches += 1;
-        self.completed += batch.len() as u64;
-        self.busy_cycles += stats.cycles;
+        self.counters.batches += 1;
+        self.counters.completed += batch.len() as u64;
+        self.counters.busy_cycles += stats.cycles;
         self.launch_stats.push(stats);
         completions
     }
@@ -337,9 +337,9 @@ impl DeviceEngine {
         let idle = to - free_from;
         if idle > 0 {
             if self.queue.is_empty() {
-                self.idle_cycles += idle;
+                self.counters.idle_cycles += idle;
             } else {
-                self.queue_wait_cycles += idle;
+                self.counters.queue_wait_cycles += idle;
             }
         }
     }
@@ -347,63 +347,34 @@ impl DeviceEngine {
     /// End-of-run event: the run's horizon is `horizon` (at least this
     /// device's own quiet point). Extends idle accounting so that
     /// `Σ batch + queue_wait + idle == horizon` holds exactly, emits the
-    /// attribution counters when tracing, and returns the partition's
-    /// checked buckets `(busy, queue_wait, idle)`.
+    /// attribution counters when tracing, and returns the settled
+    /// counters.
     ///
     /// # Panics
     ///
     /// Panics (debug) when the partition does not hold — an accounting bug,
     /// never data-dependent.
-    pub fn settle(&mut self, horizon: u64) -> (u64, u64, u64) {
+    pub fn settle(&mut self, horizon: u64) -> &DeviceCounters {
         debug_assert!(self.queue.is_empty(), "settle with queries still queued");
         debug_assert!(horizon >= self.device_free_at, "horizon before busy end");
         // The driver advanced us to its final clock; anything between our
         // own quiet point and the cluster horizon is idle time.
-        let accounted = self.busy_cycles + self.queue_wait_cycles + self.idle_cycles;
+        let accounted =
+            self.counters.busy_cycles + self.counters.queue_wait_cycles + self.counters.idle_cycles;
         debug_assert!(horizon >= accounted, "buckets exceed the horizon");
-        self.idle_cycles += horizon - accounted;
+        self.counters.idle_cycles += horizon - accounted;
         if self.trace.enabled() {
             let mut attr = CycleAttribution::default();
-            attr.add(Bucket::QueueWait, self.queue_wait_cycles);
-            attr.add(Bucket::DeviceIdle, self.idle_cycles);
+            attr.add(Bucket::QueueWait, self.counters.queue_wait_cycles);
+            attr.add(Bucket::DeviceIdle, self.counters.idle_cycles);
             self.trace.counters(self.device_track, &attr, horizon);
         }
-        (self.busy_cycles, self.queue_wait_cycles, self.idle_cycles)
+        &self.counters
     }
 
-    /// Batches launched so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Queries completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Queries rejected by the queue bound so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Deepest the queue ever got (measured after each admission).
-    pub fn max_queue_depth(&self) -> usize {
-        self.max_queue_depth
-    }
-
-    /// Device-busy cycles accumulated by launches so far.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Device-free cycles spent with a non-empty queue so far.
-    pub fn queue_wait_cycles(&self) -> u64 {
-        self.queue_wait_cycles
-    }
-
-    /// Device-free cycles spent with an empty queue so far.
-    pub fn idle_cycles(&self) -> u64 {
-        self.idle_cycles
+    /// The accounting counters so far.
+    pub fn counters(&self) -> &DeviceCounters {
+        &self.counters
     }
 
     /// Per-launch simulator stats, in launch order (consumes the engine).
@@ -421,20 +392,8 @@ impl DeviceEngine {
         bag.put_u64_list("queue_ids", self.queue.iter().map(|&(id, _)| id as u64));
         bag.put_u64_list("queue_arrivals", self.queue.iter().map(|&(_, t)| t));
         bag.put_u64("device_free_at", self.device_free_at);
-        bag.put_u64("batches", self.batches);
-        bag.put_u64("max_queue_depth", self.max_queue_depth as u64);
-        bag.put_u64("dropped", self.dropped);
-        bag.put_u64("completed", self.completed);
-        bag.put_u64("busy_cycles", self.busy_cycles);
-        bag.put_u64("queue_wait_cycles", self.queue_wait_cycles);
-        bag.put_u64("idle_cycles", self.idle_cycles);
-        bag.put_list(
-            "launch_stats",
-            self.launch_stats
-                .iter()
-                .map(|s| SnapValue::Bag(s.to_bag()))
-                .collect(),
-        );
+        bag.put_fields("counters", &self.counters);
+        bag.put_fields("launch_stats", &self.launch_stats);
         bag
     }
 
@@ -458,21 +417,8 @@ impl DeviceEngine {
             .map(|(&id, &t)| (id as usize, t))
             .collect();
         self.device_free_at = bag.u64("device_free_at")?;
-        self.batches = bag.u64("batches")?;
-        self.max_queue_depth = bag.u64("max_queue_depth")? as usize;
-        self.dropped = bag.u64("dropped")?;
-        self.completed = bag.u64("completed")?;
-        self.busy_cycles = bag.u64("busy_cycles")?;
-        self.queue_wait_cycles = bag.u64("queue_wait_cycles")?;
-        self.idle_cycles = bag.u64("idle_cycles")?;
-        self.launch_stats = bag
-            .list("launch_stats")?
-            .iter()
-            .map(|v| match v {
-                SnapValue::Bag(b) => SimStats::from_bag(b),
-                _ => Err(BagError::WrongKind("launch_stats".into())),
-            })
-            .collect::<Result<_, _>>()?;
+        self.counters = bag.fields("counters")?;
+        self.launch_stats = bag.fields("launch_stats")?;
         Ok(())
     }
 }
@@ -560,10 +506,10 @@ mod tests {
         // 6 arrivals: one full batch of 4, then a drained flush of 2.
         let arrivals = vec![0, 0, 5, 5, 7, 9];
         let out = serve(&mut svc, &cfg, &arrivals);
-        assert_eq!(out.batches, 2);
+        assert_eq!(out.counters.batches, 2);
         assert_eq!(svc.batches_seen[0], vec![0, 1, 2, 3]);
         assert_eq!(svc.batches_seen[1], vec![4, 5]);
-        assert_eq!(out.dropped, 0);
+        assert_eq!(out.counters.dropped, 0);
         // Batch 1 launches at t=5 (4th arrival), takes 100+40=140.
         assert_eq!(out.queries[0].completion, Some(5 + 140));
         // Batch 2 flushes when the device frees at t=145, takes 100+20.
@@ -587,7 +533,7 @@ mod tests {
         // drain) must trigger the first launch at t=0+50.
         let arrivals = vec![0, 10, 100_000];
         let out = serve(&mut svc, &cfg, &arrivals);
-        assert_eq!(out.batches, 2);
+        assert_eq!(out.counters.batches, 2);
         assert_eq!(svc.batches_seen[0], vec![0, 1]);
         assert_eq!(out.queries[0].completion, Some(50 + 100 + 20));
         assert_eq!(out.queries[1].latency(), Some(160));
@@ -603,7 +549,7 @@ mod tests {
         };
         let arrivals = vec![0; 8]; // two warps' worth, all at t=0
         let out = serve(&mut svc, &cfg, &arrivals);
-        assert_eq!(out.batches, 1);
+        assert_eq!(out.counters.batches, 1);
         // Warp 0 (queries 0-3) completes at 100+40, warp 1 at 100+80.
         assert_eq!(out.queries[0].completion, Some(140));
         assert_eq!(out.queries[7].completion, Some(180));
@@ -621,8 +567,8 @@ mod tests {
         };
         let arrivals = vec![0, 0, 0, 0, 0];
         let out = serve(&mut svc, &cfg, &arrivals);
-        assert_eq!(out.dropped, 3);
-        assert_eq!(out.max_queue_depth, 2);
+        assert_eq!(out.counters.dropped, 3);
+        assert_eq!(out.counters.max_queue_depth, 2);
         let completed = out
             .queries
             .iter()
@@ -636,7 +582,7 @@ mod tests {
     fn empty_stream_is_a_no_op() {
         let mut svc = fake(8);
         let out = serve(&mut svc, &ServeConfig::default(), &[]);
-        assert_eq!(out.batches, 0);
+        assert_eq!(out.counters.batches, 0);
         assert_eq!(out.makespan, 0);
         assert!(out.queries.is_empty());
     }

@@ -37,7 +37,9 @@ pub mod policy;
 pub mod service;
 pub mod session;
 
-pub use engine::{serve, BatchService, DeviceEngine, QueryOutcome, ServeConfig, ServeOutcome};
+pub use engine::{
+    serve, BatchService, DeviceCounters, DeviceEngine, QueryOutcome, ServeConfig, ServeOutcome,
+};
 pub use experiment::{build_service, ServeExperiment, ServeInputs, ServeWorkload};
 pub use metrics::summarize;
 pub use policy::BatchPolicy;

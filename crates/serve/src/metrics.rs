@@ -39,19 +39,19 @@ pub fn summarize(
         backend: backend.to_owned(),
         arrival_mean_cycles,
         offered: out.queries.len() as u64,
-        admitted: out.queries.len() as u64 - out.dropped,
-        dropped: out.dropped,
+        admitted: out.queries.len() as u64 - out.counters.dropped,
+        dropped: out.counters.dropped,
         completed,
-        batches: out.batches,
+        batches: out.counters.batches,
         p50_latency: pct(50.0),
         p95_latency: pct(95.0),
         p99_latency: pct(99.0),
         max_latency: latencies.iter().copied().max().unwrap_or(0),
         throughput_qpkc,
-        max_queue_depth: out.max_queue_depth as u64,
+        max_queue_depth: out.counters.max_queue_depth as u64,
         makespan_cycles: out.makespan,
-        queue_wait_cycles: out.queue_wait_cycles,
-        idle_cycles: out.idle_cycles,
+        queue_wait_cycles: out.counters.queue_wait_cycles,
+        idle_cycles: out.counters.idle_cycles,
         horizon_cycles: out.horizon,
     }
 }
@@ -59,7 +59,7 @@ pub fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryOutcome;
+    use crate::engine::{DeviceCounters, QueryOutcome};
 
     fn outcome(latencies: &[u64], dropped: u64) -> ServeOutcome {
         let mut queries: Vec<QueryOutcome> = latencies
@@ -77,13 +77,16 @@ mod tests {
         }
         ServeOutcome {
             queries,
-            batches: 3,
-            max_queue_depth: 7,
-            dropped,
+            counters: DeviceCounters {
+                batches: 3,
+                max_queue_depth: 7,
+                dropped,
+                queue_wait_cycles: 40,
+                idle_cycles: 60,
+                ..Default::default()
+            },
             makespan: 2000,
             launch_stats: Vec::new(),
-            queue_wait_cycles: 40,
-            idle_cycles: 60,
             horizon: 2000,
         }
     }

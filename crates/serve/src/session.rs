@@ -33,20 +33,27 @@ pub struct ServeSession {
     next_arrival: usize,
 }
 
-/// Completion stored as `cycle + 1` so 0 can mean "not completed" in a
-/// `u64` list (completions are cycle stamps and may legitimately be 0+1).
-fn encode_completion(c: Option<u64>) -> u64 {
-    c.map_or(0, |v| v + 1)
+/// An optional stamp stored as `v + 1`, so 0 can mean `None` in a `u64`
+/// list (stamps may legitimately be 0).
+pub fn encode_option(v: Option<u64>) -> u64 {
+    v.map_or(0, |v| v + 1)
 }
 
-fn decode_completion(v: u64) -> Option<u64> {
+/// Inverts [`encode_option`].
+pub fn decode_option(v: u64) -> Option<u64> {
     v.checked_sub(1)
 }
 
-/// Identity hash of an arrival stream — guards a session snapshot against
-/// being resumed onto a different stream.
-fn stream_fnv(arrivals: &[u64]) -> u64 {
-    let bytes: Vec<u8> = arrivals.iter().flat_map(|v| v.to_le_bytes()).collect();
+/// Identity hash of an offered stream (arrival stamps, then per-query
+/// class assignments; serving passes no classes) — guards a session
+/// snapshot against being resumed onto a different stream.
+pub fn stream_fnv(arrivals: &[u64], classes: &[usize]) -> u64 {
+    let bytes: Vec<u8> = arrivals
+        .iter()
+        .copied()
+        .chain(classes.iter().map(|&c| c as u64))
+        .flat_map(u64::to_le_bytes)
+        .collect();
     fnv1a_64(&bytes)
 }
 
@@ -176,21 +183,11 @@ impl ServeSession {
     pub fn finish(mut self, svc: &mut dyn BatchService) -> ServeOutcome {
         self.run_until(svc, None);
         let horizon = self.now.max(self.engine.device_free_at());
-        let (busy, queue_wait_cycles, idle_cycles) = self.engine.settle(horizon);
-        debug_assert_eq!(
-            busy + queue_wait_cycles + idle_cycles,
-            horizon,
-            "serve-side buckets must partition the horizon"
-        );
         ServeOutcome {
+            counters: self.engine.settle(horizon).clone(),
             queries: self.queries,
-            batches: self.engine.batches(),
-            max_queue_depth: self.engine.max_queue_depth(),
-            dropped: self.engine.dropped(),
             makespan: self.makespan,
             launch_stats: self.engine.into_launch_stats(),
-            queue_wait_cycles,
-            idle_cycles,
             horizon,
         }
     }
@@ -203,13 +200,13 @@ impl ServeSession {
     pub fn export_state(&self) -> StateBag {
         let mut bag = StateBag::new();
         bag.put_u64("stream_len", self.arrivals.len() as u64);
-        bag.put_u64("stream_fnv", stream_fnv(&self.arrivals));
+        bag.put_u64("stream_fnv", stream_fnv(&self.arrivals, &[]));
         bag.put_u64("now", self.now);
         bag.put_u64("next_arrival", self.next_arrival as u64);
         bag.put_u64("makespan", self.makespan);
         bag.put_u64_list(
             "completions",
-            self.queries.iter().map(|q| encode_completion(q.completion)),
+            self.queries.iter().map(|q| encode_option(q.completion)),
         );
         bag.put_bag("engine", self.engine.export_state());
         bag
@@ -224,7 +221,7 @@ impl ServeSession {
     /// arrival stream; other [`BagError`]s for malformed bags.
     pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
         if bag.u64("stream_len")? != self.arrivals.len() as u64
-            || bag.u64("stream_fnv")? != stream_fnv(&self.arrivals)
+            || bag.u64("stream_fnv")? != stream_fnv(&self.arrivals, &[])
         {
             return Err(BagError::Mismatch(
                 "snapshot was taken over a different arrival stream".into(),
@@ -243,7 +240,7 @@ impl ServeSession {
         self.next_arrival = bag.u64("next_arrival")? as usize;
         self.makespan = bag.u64("makespan")?;
         for (q, &c) in self.queries.iter_mut().zip(&completions) {
-            q.completion = decode_completion(c);
+            q.completion = decode_option(c);
         }
         Ok(())
     }
@@ -323,13 +320,13 @@ mod tests {
             assert_eq!(got.queries, want.queries, "cut at {stop}");
             assert_eq!(got.launch_stats, want.launch_stats, "cut at {stop}");
             assert_eq!(
-                (got.batches, got.makespan, got.horizon),
-                (want.batches, want.makespan, want.horizon),
+                (got.counters.batches, got.makespan, got.horizon),
+                (want.counters.batches, want.makespan, want.horizon),
                 "cut at {stop}"
             );
             assert_eq!(
-                (got.queue_wait_cycles, got.idle_cycles),
-                (want.queue_wait_cycles, want.idle_cycles),
+                (got.counters.queue_wait_cycles, got.counters.idle_cycles),
+                (want.counters.queue_wait_cycles, want.counters.idle_cycles),
                 "cut at {stop}: advance splitting must be exact"
             );
         }

@@ -88,7 +88,10 @@ fn unbounded_queue_never_drops_an_admitted_query() {
             trace: trace::TraceHandle::default(),
         };
         let out = serve(&mut svc, &cfg, &arrivals);
-        assert_eq!(out.dropped, 0, "seed {seed}: {policy:?} dropped queries");
+        assert_eq!(
+            out.counters.dropped, 0,
+            "seed {seed}: {policy:?} dropped queries"
+        );
         for (i, q) in out.queries.iter().enumerate() {
             let done = q.completion.unwrap_or_else(|| {
                 panic!(
@@ -102,7 +105,7 @@ fn unbounded_queue_never_drops_an_admitted_query() {
             );
         }
         if !arrivals.is_empty() {
-            assert!(out.batches > 0);
+            assert!(out.counters.batches > 0);
             assert!(out.makespan >= *arrivals.last().unwrap());
         }
     }
@@ -135,10 +138,10 @@ fn bounded_queue_accounts_for_every_offered_query() {
         // offered = completed + dropped: nothing admitted is ever lost,
         // and the queue bound is respected.
         assert_eq!(
-            completed + out.dropped,
+            completed + out.counters.dropped,
             arrivals.len() as u64,
             "seed {seed}"
         );
-        assert!(out.max_queue_depth <= cap, "seed {seed}");
+        assert!(out.counters.max_queue_depth <= cap, "seed {seed}");
     }
 }

@@ -116,7 +116,7 @@ fn batch_spans_and_gap_counters_partition_the_horizon() {
         .sum();
     assert!(busy > 0, "the session must run batches");
     assert_eq!(
-        busy + out.queue_wait_cycles + out.idle_cycles,
+        busy + out.counters.queue_wait_cycles + out.counters.idle_cycles,
         out.horizon,
         "batch spans + queue-wait + idle must partition the horizon"
     );

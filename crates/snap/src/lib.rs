@@ -39,9 +39,15 @@ pub use gpu_sim::snapshot::{fnv1a_64, BagError, SnapValue, StateBag};
 
 /// Version written into every snapshot file. Bump this whenever any
 /// exported state's schema changes (an entry added, removed, renamed or
-/// re-typed anywhere in the bag tree) — the `schema_fingerprint_is_pinned`
-/// test in `tests/format.rs` fails until you do.
-pub const SNAP_SCHEMA_VERSION: u32 = 1;
+/// re-typed anywhere in the bag tree) — the
+/// `serialized_schemas_require_a_version_bump_to_change` test in
+/// `tests/format.rs` fails until you do.
+///
+/// v2 stores every declared counter struct (`SimStats` and its parts, the
+/// engine, unit, μop-program and serve device counters) as a nested bag
+/// with one named entry per field, replacing positional `u64` lists,
+/// named top-level entries and entries inlined into the parent bag.
+pub const SNAP_SCHEMA_VERSION: u32 = 2;
 
 /// Leading magic of every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"TTASNAP\0";

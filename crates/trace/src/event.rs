@@ -7,6 +7,8 @@
 //! across hosts and across harness worker-thread counts (the same
 //! contract the run journal keeps).
 
+use crate::fields::{Declared, Fold, Reader, Value, Writer};
+
 /// The simulated resource an event belongs to.
 ///
 /// Tracks map onto rows in a Chrome trace viewer: the category (variant)
@@ -263,15 +265,8 @@ impl CycleAttribution {
     /// Reads one bucket.
     #[must_use]
     pub fn get(&self, bucket: Bucket) -> u64 {
-        match bucket {
-            Bucket::SimtBusy => self.simt_busy,
-            Bucket::SimtStallMem => self.simt_stall_mem,
-            Bucket::SimtStallOther => self.simt_stall_other,
-            Bucket::AccelBusy => self.accel_busy,
-            Bucket::AccelStarved => self.accel_starved,
-            Bucket::QueueWait => self.queue_wait,
-            Bucket::DeviceIdle => self.device_idle,
-        }
+        let mut copy = *self;
+        *copy.slot(bucket)
     }
 
     fn slot(&mut self, bucket: Bucket) -> &mut u64 {
@@ -292,29 +287,47 @@ impl CycleAttribution {
     pub fn total(&self) -> u64 {
         Bucket::ALL.iter().map(|&b| self.get(b)).sum()
     }
+}
 
-    /// Accumulates another histogram into this one (used when summing
-    /// per-batch stats).
-    pub fn merge(&mut self, other: &CycleAttribution) {
+/// [`Bucket::ALL`] is the field list; `"total"` is derived, so the JSON
+/// object reads `{"simt_busy":…,…,"total":…}`.
+impl Declared for CycleAttribution {
+    fn visit<W: Writer>(&self, w: &mut W) {
         for b in Bucket::ALL {
-            self.add(b, other.get(b));
+            w.u64(b.name(), self.get(b));
+        }
+        w.derived("total", self.total());
+    }
+
+    fn read_fields<R: Reader>(&mut self, r: &mut R) -> Result<(), R::Error> {
+        for b in Bucket::ALL {
+            *self.slot(b) = r.u64(b.name())?;
+        }
+        Ok(())
+    }
+}
+
+impl Value for CycleAttribution {
+    fn write<W: Writer>(&self, name: &str, w: &mut W) {
+        w.record(name, self);
+    }
+
+    fn read<R: Reader>(&mut self, name: &str, r: &mut R) -> Result<(), R::Error> {
+        r.record(name, self)
+    }
+}
+
+impl Fold for CycleAttribution {
+    fn add(&mut self, o: &Self) {
+        for b in Bucket::ALL {
+            *self.slot(b) += o.get(b);
         }
     }
 
-    /// Stable JSON object (`{"simt_busy":…,…,"total":…}`), keys in
-    /// [`Bucket::ALL`] order.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
+    fn sub(&mut self, o: &Self) {
         for b in Bucket::ALL {
-            s.push_str(&format!(
-                "{}:{},",
-                crate::json::quote(b.name()),
-                self.get(b)
-            ));
+            *self.slot(b) -= o.get(b);
         }
-        s.push_str(&format!("\"total\":{}}}", self.total()));
-        s
     }
 }
 
@@ -332,9 +345,9 @@ mod tests {
         assert_eq!(a.total(), 16);
         let mut b = CycleAttribution::default();
         b.add(Bucket::QueueWait, 4);
-        b.merge(&a);
+        Fold::add(&mut b, &a);
         assert_eq!(b.total(), 20);
-        let json = b.to_json();
+        let json = crate::json::object(&b);
         assert!(json.starts_with("{\"simt_busy\":11,"));
         assert!(json.ends_with("\"total\":20}"));
         for bucket in Bucket::ALL {

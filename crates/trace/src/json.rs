@@ -10,7 +10,10 @@
 //!
 //! Writers keep their own field order and layout (that is what makes
 //! journals byte-stable) and format every string through [`quote`] and
-//! every unformatted float through [`num`].
+//! every unformatted float through [`num`]. [`object`] writes any
+//! declared struct ([`crate::fields`]) that way, in declaration order.
+
+use crate::fields::{Declared, Writer};
 
 /// A JSON string literal, surrounding quotes included: `"`, `\`, `\n`,
 /// `\r` and `\t` get their short escapes, other control characters a
@@ -42,6 +45,53 @@ pub fn num(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_owned()
+    }
+}
+
+/// A declared struct as one compact JSON object, keys in declaration
+/// order: integers verbatim, floats through [`num`], strings through
+/// [`quote`], nested records as objects and lists as arrays.
+#[must_use]
+pub fn object<T: Declared>(v: &T) -> String {
+    let mut w = ObjectWriter(String::from("{"));
+    v.visit(&mut w);
+    w.0 + "}"
+}
+
+struct ObjectWriter(String);
+
+impl ObjectWriter {
+    fn put(&mut self, name: &str, value: &str) {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        self.0 += &format!("{}:{value}", quote(name));
+    }
+}
+
+impl Writer for ObjectWriter {
+    fn u64(&mut self, name: &str, v: u64) {
+        self.put(name, &v.to_string());
+    }
+    fn f64(&mut self, name: &str, v: f64) {
+        self.put(name, &num(v));
+    }
+    fn str(&mut self, name: &str, v: &str) {
+        self.put(name, &quote(v));
+    }
+    fn u64s(&mut self, name: &str, v: &[u64]) {
+        let items: Vec<String> = v.iter().map(u64::to_string).collect();
+        self.put(name, &format!("[{}]", items.join(",")));
+    }
+    fn record<T: Declared>(&mut self, name: &str, v: &T) {
+        self.put(name, &object(v));
+    }
+    fn records<T: Declared>(&mut self, name: &str, v: &[T]) {
+        let items: Vec<String> = v.iter().map(object).collect();
+        self.put(name, &format!("[{}]", items.join(",")));
+    }
+    fn derived(&mut self, name: &str, v: u64) {
+        self.u64(name, v);
     }
 }
 

@@ -27,11 +27,15 @@
 //!   `chrome://tracing` / Perfetto).
 //! * [`CycleAttribution`] / [`Bucket`] — the always-on histogram stored
 //!   in `SimStats`: every simulated cycle lands in exactly one bucket.
+//! * [`fields`] / [`declare!`] — the one field list every counter and
+//!   summary struct is declared with; JSON, snapshot and fold derive
+//!   from it.
 //! * [`validate_chrome_json`] / [`check_events`] — schema and invariant
 //!   checkers backing the test suites and the `tta-trace-check` binary.
 
 pub mod chrome;
 mod event;
+pub mod fields;
 pub mod json;
 mod sink;
 mod validate;

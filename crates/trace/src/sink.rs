@@ -64,7 +64,7 @@ impl CountingSink {
         let mut s = format!(
             "{{\"events\":{},\"attribution\":{},\"span_cycles\":{{",
             self.events,
-            self.attribution.to_json()
+            crate::json::object(&self.attribution)
         );
         let mut first = true;
         for (name, cycles) in &self.span_cycles {

@@ -9,6 +9,7 @@ use gpu_sim::{Gpu, GpuConfig, SimStats};
 use rta::engine::{EngineStats, TraversalEngine, TraversalSemantics};
 use rta::units::{FixedFunctionBackend, IntersectionBackend, UnitStats};
 use rta::RtaConfig;
+use trace::fields::Fold;
 use trace::{ChromeTraceSink, TraceHandle};
 use tta::backend::{TtaBackend, TtaConfig};
 use tta::programs::UopProgram;
@@ -47,19 +48,24 @@ impl Platform {
     }
 }
 
-/// Aggregated accelerator-side report (summed over the per-SM engines).
-#[derive(Debug, Clone, Default)]
-pub struct AccelReport {
-    /// Engine counters summed across SMs.
-    pub engine: EngineStats,
-    /// Unit statistics summed by unit name.
-    pub units: Vec<(String, UnitStats)>,
-    /// Per-program average latencies (TTA+ only): (name, stats).
-    pub programs: Vec<(String, ProgramStats)>,
-    /// Lane-instructions spent in intersection-shader callbacks.
-    pub shader_lane_instructions: u64,
-    /// Total `traverseTree` instructions executed.
-    pub traversals: u64,
+trace::declare! {
+    /// Aggregated accelerator-side report (summed over the per-SM engines).
+    /// Its [`Fold`] is that merge, applied across SMs and across a fleet's
+    /// devices: engine counters and totals summed, units and programs
+    /// joined by name (first-seen order), unit peaks maxed.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct AccelReport {
+        /// Engine counters summed across SMs.
+        pub engine: EngineStats,
+        /// Unit statistics summed by unit name.
+        pub units: Vec<(String, UnitStats)>,
+        /// Per-program average latencies (TTA+ only): (name, stats).
+        pub programs: Vec<(String, ProgramStats)>,
+        /// Lane-instructions spent in intersection-shader callbacks.
+        pub shader_lane_instructions: u64,
+        /// Total `traverseTree` instructions executed.
+        pub traversals: u64,
+    }
 }
 
 impl AccelReport {
@@ -67,186 +73,178 @@ impl AccelReport {
     pub fn unit(&self, name: &str) -> Option<&UnitStats> {
         self.units.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
+}
 
-    /// Accumulates another report into this one: engine counters and
-    /// totals summed, units and programs merged by name (first-seen
-    /// order), unit peaks maxed — the fold [`harvest_accel`] applies
-    /// across SMs, applied across a fleet's devices.
-    pub fn merge(&mut self, o: &AccelReport) {
-        self.engine.add(&o.engine);
-        self.shader_lane_instructions += o.shader_lane_instructions;
-        self.traversals += o.traversals;
-        for (name, s) in &o.units {
-            merge_unit(&mut self.units, name, s);
-        }
-        for (name, s) in &o.programs {
-            merge_program(&mut self.programs, name, s);
-        }
+trace::declare! {
+    /// Aggregated metrics of one *online-serving* run (produced by the
+    /// `tta-serve` crate's virtual-clock engine). This is plain data living
+    /// here — rather than in `tta-serve` — so [`RunResult`] and the harness
+    /// journal can carry a serving section without a dependency cycle.
+    ///
+    /// All cycle quantities are virtual-clock cycles; nothing here is
+    /// wall-clock, so equal runs serialize byte-identically.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ServeSummary {
+        /// Batching-policy label (e.g. `size32`, `deadline500`, `cont8w`).
+        pub policy: String => keep,
+        /// Backend label (e.g. `BASE`, `RTA`, `TTA`, `TTA+`).
+        pub backend: String => keep,
+        /// Mean inter-arrival time of the offered stream, in cycles.
+        pub arrival_mean_cycles: f64 => keep,
+        /// Queries offered by the arrival stream.
+        pub offered: u64,
+        /// Queries admitted to the queue (offered − dropped).
+        pub admitted: u64,
+        /// Queries rejected by backpressure (bounded queue full on arrival).
+        pub dropped: u64,
+        /// Queries that completed (every admitted query completes).
+        pub completed: u64,
+        /// Kernel batches launched.
+        pub batches: u64,
+        /// Median per-query latency (arrival → completion), in cycles.
+        pub p50_latency: u64 => max,
+        /// 95th-percentile latency, in cycles.
+        pub p95_latency: u64 => max,
+        /// 99th-percentile latency, in cycles.
+        pub p99_latency: u64 => max,
+        /// Worst-case latency, in cycles.
+        pub max_latency: u64 => max,
+        /// Completed queries per 1000 virtual cycles of makespan.
+        pub throughput_qpkc: f64,
+        /// Deepest the admission queue ever got.
+        pub max_queue_depth: u64 => max,
+        /// Virtual cycle at which the last query completed.
+        pub makespan_cycles: u64,
+        /// Device-free cycles spent with queries waiting in the queue.
+        pub queue_wait_cycles: u64,
+        /// Device-free cycles spent with an empty queue.
+        pub idle_cycles: u64,
+        /// Virtual cycle at which the device last went quiet; launch cycles +
+        /// `queue_wait_cycles` + `idle_cycles` always sum to this.
+        pub horizon_cycles: u64,
     }
 }
 
-/// Aggregated metrics of one *online-serving* run (produced by the
-/// `tta-serve` crate's virtual-clock engine). This is plain data living
-/// here — rather than in `tta-serve` — so [`RunResult`] and the harness
-/// journal can carry a serving section without a dependency cycle.
-///
-/// All cycle quantities are virtual-clock cycles; nothing here is
-/// wall-clock, so equal runs serialize byte-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSummary {
-    /// Batching-policy label (e.g. `size32`, `deadline500`, `cont8w`).
-    pub policy: String,
-    /// Backend label (e.g. `BASE`, `RTA`, `TTA`, `TTA+`).
-    pub backend: String,
-    /// Mean inter-arrival time of the offered stream, in cycles.
-    pub arrival_mean_cycles: f64,
-    /// Queries offered by the arrival stream.
-    pub offered: u64,
-    /// Queries admitted to the queue (offered − dropped).
-    pub admitted: u64,
-    /// Queries rejected by backpressure (bounded queue full on arrival).
-    pub dropped: u64,
-    /// Queries that completed (every admitted query completes).
-    pub completed: u64,
-    /// Kernel batches launched.
-    pub batches: u64,
-    /// Median per-query latency (arrival → completion), in cycles.
-    pub p50_latency: u64,
-    /// 95th-percentile latency, in cycles.
-    pub p95_latency: u64,
-    /// 99th-percentile latency, in cycles.
-    pub p99_latency: u64,
-    /// Worst-case latency, in cycles.
-    pub max_latency: u64,
-    /// Completed queries per 1000 virtual cycles of makespan.
-    pub throughput_qpkc: f64,
-    /// Deepest the admission queue ever got.
-    pub max_queue_depth: u64,
-    /// Virtual cycle at which the last query completed.
-    pub makespan_cycles: u64,
-    /// Device-free cycles spent with queries waiting in the queue.
-    pub queue_wait_cycles: u64,
-    /// Device-free cycles spent with an empty queue.
-    pub idle_cycles: u64,
-    /// Virtual cycle at which the device last went quiet; launch cycles +
-    /// `queue_wait_cycles` + `idle_cycles` always sum to this.
-    pub horizon_cycles: u64,
+trace::declare! {
+    /// Per-device totals of one fleet serving run — one row per simulated
+    /// device in the journal's schema-v4 `"fleet"` section. The three cycle
+    /// buckets partition the cluster horizon on every device:
+    /// `busy + queue_wait + idle == horizon_cycles`.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FleetDeviceSummary {
+        /// Device index within the fleet.
+        pub device: u64 => keep,
+        /// Kernel batches this device launched.
+        pub batches: u64,
+        /// Queries this device completed.
+        pub completed: u64,
+        /// Queries dropped at this device's bounded queue.
+        pub dropped: u64,
+        /// Cycles the device spent executing batches (including shard-miss
+        /// and cold-start overheads charged to its launches).
+        pub busy_cycles: u64,
+        /// Device-free cycles with queries waiting for the policy to trigger.
+        pub queue_wait_cycles: u64,
+        /// Device-free cycles with an empty queue (or while cold).
+        pub idle_cycles: u64,
+        /// Deepest this device's queue ever got.
+        pub max_queue_depth: u64 => max,
+        /// Queries served by this device whose shard was not resident.
+        pub shard_misses: u64,
+        /// Warm-up transitions this device paid the cold-start penalty for.
+        pub cold_starts: u64,
+    }
 }
 
-/// Per-device totals of one fleet serving run — one row per simulated
-/// device in the journal's schema-v4 `"fleet"` section. The three cycle
-/// buckets partition the cluster horizon on every device:
-/// `busy + queue_wait + idle == horizon_cycles`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetDeviceSummary {
-    /// Device index within the fleet.
-    pub device: u64,
-    /// Kernel batches this device launched.
-    pub batches: u64,
-    /// Queries this device completed.
-    pub completed: u64,
-    /// Queries dropped at this device's bounded queue.
-    pub dropped: u64,
-    /// Cycles the device spent executing batches (including shard-miss
-    /// and cold-start overheads charged to its launches).
-    pub busy_cycles: u64,
-    /// Device-free cycles with queries waiting for the policy to trigger.
-    pub queue_wait_cycles: u64,
-    /// Device-free cycles with an empty queue (or while cold).
-    pub idle_cycles: u64,
-    /// Deepest this device's queue ever got.
-    pub max_queue_depth: u64,
-    /// Queries served by this device whose shard was not resident.
-    pub shard_misses: u64,
-    /// Warm-up transitions this device paid the cold-start penalty for.
-    pub cold_starts: u64,
+trace::declare! {
+    /// Per-SLO-class totals of one fleet serving run — one row per priority
+    /// class in the journal's schema-v4 `"fleet"` section. Conservation:
+    /// `completed + dropped == offered` for every class.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FleetClassSummary {
+        /// Class label (e.g. `interactive`, `batch`).
+        pub class: String => keep,
+        /// The class's latency SLO, in cycles.
+        pub deadline_cycles: u64 => keep,
+        /// Queries of this class the stream offered.
+        pub offered: u64,
+        /// Queries of this class that completed.
+        pub completed: u64,
+        /// Queries of this class dropped by admission control.
+        pub dropped: u64,
+        /// Completed queries whose latency exceeded the class deadline.
+        pub slo_misses: u64,
+        /// Median latency of the class's completed queries (nearest-rank).
+        pub p50_latency: u64 => max,
+        /// 99th-percentile latency (nearest-rank; the max sample when the
+        /// class completed fewer than 100 queries).
+        pub p99_latency: u64 => max,
+        /// Worst-case latency of the class.
+        pub max_latency: u64 => max,
+    }
 }
 
-/// Per-SLO-class totals of one fleet serving run — one row per priority
-/// class in the journal's schema-v4 `"fleet"` section. Conservation:
-/// `completed + dropped == offered` for every class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetClassSummary {
-    /// Class label (e.g. `interactive`, `batch`).
-    pub class: String,
-    /// The class's latency SLO, in cycles.
-    pub deadline_cycles: u64,
-    /// Queries of this class the stream offered.
-    pub offered: u64,
-    /// Queries of this class that completed.
-    pub completed: u64,
-    /// Queries of this class dropped by admission control.
-    pub dropped: u64,
-    /// Completed queries whose latency exceeded the class deadline.
-    pub slo_misses: u64,
-    /// Median latency of the class's completed queries (nearest-rank).
-    pub p50_latency: u64,
-    /// 99th-percentile latency (nearest-rank; the max sample when the
-    /// class completed fewer than 100 queries).
-    pub p99_latency: u64,
-    /// Worst-case latency of the class.
-    pub max_latency: u64,
-}
-
-/// Cluster-wide metrics of one fleet serving run: the journal's schema-v4
-/// `"fleet"` section, produced by `tta-fleet` and serialized by the
-/// harness with the same stable-field-order determinism contract as
-/// [`ServeSummary`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSummary {
-    /// Router-policy label (`rr`, `jsq`, `p2c`, `locality`).
-    pub router: String,
-    /// Backend label (e.g. `BASE`, `TTA`, `TTA+`).
-    pub backend: String,
-    /// Batching-policy label (per device).
-    pub policy: String,
-    /// Simulated devices in the fleet.
-    pub devices: u64,
-    /// Tree shards the query universe is partitioned into.
-    pub shards: u64,
-    /// Devices holding a replica of each shard.
-    pub replication: u64,
-    /// Per-query penalty (cycles) for serving a non-resident shard.
-    pub shard_miss_penalty: u64,
-    /// Mean inter-arrival time of the offered stream, in cycles.
-    pub arrival_mean_cycles: f64,
-    /// Queries offered by the arrival stream.
-    pub offered: u64,
-    /// Queries admitted past admission control (offered − dropped).
-    pub admitted: u64,
-    /// Queries dropped (admission control + bounded device queues).
-    pub dropped: u64,
-    /// Queries completed across all devices.
-    pub completed: u64,
-    /// Kernel batches launched across all devices.
-    pub batches: u64,
-    /// Median cluster latency, in cycles (nearest-rank).
-    pub p50_latency: u64,
-    /// 95th-percentile cluster latency, in cycles.
-    pub p95_latency: u64,
-    /// 99th-percentile cluster latency, in cycles.
-    pub p99_latency: u64,
-    /// Worst-case cluster latency, in cycles.
-    pub max_latency: u64,
-    /// Completed queries per 1000 virtual cycles of makespan.
-    pub throughput_qpkc: f64,
-    /// Completed queries that missed their class deadline.
-    pub slo_misses: u64,
-    /// Queries served by a device holding their shard.
-    pub shard_hits: u64,
-    /// Queries served by a device *not* holding their shard.
-    pub shard_misses: u64,
-    /// Cold-start transitions paid by the autoscaler.
-    pub cold_starts: u64,
-    /// Virtual cycle at which the last query completed.
-    pub makespan_cycles: u64,
-    /// Cluster horizon: every device's `busy + queue_wait + idle` equals
-    /// this, so the cluster-wide sum is `devices × horizon_cycles`.
-    pub horizon_cycles: u64,
-    /// One row per device, in device order.
-    pub per_device: Vec<FleetDeviceSummary>,
-    /// One row per SLO class, in class order.
-    pub per_class: Vec<FleetClassSummary>,
+trace::declare! {
+    /// Cluster-wide metrics of one fleet serving run: the journal's schema-v4
+    /// `"fleet"` section, produced by `tta-fleet` and serialized by the
+    /// harness with the same stable-field-order determinism contract as
+    /// [`ServeSummary`].
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct FleetSummary {
+        /// Router-policy label (`rr`, `jsq`, `p2c`, `locality`).
+        pub router: String => keep,
+        /// Backend label (e.g. `BASE`, `TTA`, `TTA+`).
+        pub backend: String => keep,
+        /// Batching-policy label (per device).
+        pub policy: String => keep,
+        /// Simulated devices in the fleet.
+        pub devices: u64 => keep,
+        /// Tree shards the query universe is partitioned into.
+        pub shards: u64 => keep,
+        /// Devices holding a replica of each shard.
+        pub replication: u64 => keep,
+        /// Per-query penalty (cycles) for serving a non-resident shard.
+        pub shard_miss_penalty: u64 => keep,
+        /// Mean inter-arrival time of the offered stream, in cycles.
+        pub arrival_mean_cycles: f64 => keep,
+        /// Queries offered by the arrival stream.
+        pub offered: u64,
+        /// Queries admitted past admission control (offered − dropped).
+        pub admitted: u64,
+        /// Queries dropped (admission control + bounded device queues).
+        pub dropped: u64,
+        /// Queries completed across all devices.
+        pub completed: u64,
+        /// Kernel batches launched across all devices.
+        pub batches: u64,
+        /// Median cluster latency, in cycles (nearest-rank).
+        pub p50_latency: u64 => max,
+        /// 95th-percentile cluster latency, in cycles.
+        pub p95_latency: u64 => max,
+        /// 99th-percentile cluster latency, in cycles.
+        pub p99_latency: u64 => max,
+        /// Worst-case cluster latency, in cycles.
+        pub max_latency: u64 => max,
+        /// Completed queries per 1000 virtual cycles of makespan.
+        pub throughput_qpkc: f64,
+        /// Completed queries that missed their class deadline.
+        pub slo_misses: u64,
+        /// Queries served by a device holding their shard.
+        pub shard_hits: u64,
+        /// Queries served by a device *not* holding their shard.
+        pub shard_misses: u64,
+        /// Cold-start transitions paid by the autoscaler.
+        pub cold_starts: u64,
+        /// Virtual cycle at which the last query completed.
+        pub makespan_cycles: u64,
+        /// Cluster horizon: every device's `busy + queue_wait + idle` equals
+        /// this, so the cluster-wide sum is `devices × horizon_cycles`.
+        pub horizon_cycles: u64,
+        /// One row per device, in device order.
+        pub per_device: Vec<FleetDeviceSummary> => keep,
+        /// One row per SLO class, in class order.
+        pub per_class: Vec<FleetClassSummary> => keep,
+    }
 }
 
 /// The outcome of one experiment run.
@@ -408,9 +406,7 @@ pub fn harvest_accel(gpu: &Gpu) -> Option<AccelReport> {
             continue;
         };
         report.engine.add(&engine.stats);
-        for (name, stats) in engine.unit_stats() {
-            merge_unit(&mut report.units, &name, &stats);
-        }
+        report.units.add(&engine.unit_stats());
         let backend: &dyn IntersectionBackend = engine.backend();
         if let Some(b) = backend.as_any().downcast_ref::<FixedFunctionBackend>() {
             report.shader_lane_instructions += b.shader_lane_instructions();
@@ -418,89 +414,37 @@ pub fn harvest_accel(gpu: &Gpu) -> Option<AccelReport> {
             report.shader_lane_instructions += b.shader_lane_instructions();
         } else if let Some(b) = backend.as_any().downcast_ref::<TtaPlusBackend>() {
             report.shader_lane_instructions += b.shader_lane_instructions();
-            for name in [
+            let builtin = [
                 "ray_box",
                 "ray_triangle",
                 "query_key_inner",
                 "point_to_point",
-            ] {
-                if let Some(s) = b.builtin_stats(name) {
-                    merge_program(&mut report.programs, name, s);
-                }
-            }
-            for id in 0..u16::MAX {
-                // Custom programs are dense from 0; stop at the first gap.
-                let Some(s) = b_program(b, id) else { break };
-                merge_program(&mut report.programs, &format!("program_{id}"), s);
-            }
+            ]
+            .into_iter()
+            .filter_map(|name| Some((name.to_owned(), b.builtin_stats(name)?.clone())));
+            // Custom programs are dense from 0; stop at the first gap.
+            let custom = (0..u16::MAX)
+                .map_while(|id| Some((format!("program_{id}"), b.try_program_stats(id)?.clone())));
+            report.programs.add(&builtin.chain(custom).collect());
         }
     }
     any.then_some(report)
 }
 
-fn b_program(b: &TtaPlusBackend, id: u16) -> Option<&ProgramStats> {
-    // program_stats panics past the end; probe via catch-free length check
-    // by relying on the public accessor contract: ids are dense.
-    b.try_program_stats(id)
-}
-
-fn merge_unit(list: &mut Vec<(String, UnitStats)>, name: &str, s: &UnitStats) {
-    match list.iter_mut().find(|(n, _)| n == name) {
-        Some((_, acc)) => {
-            acc.invocations += s.invocations;
-            acc.busy_cycles += s.busy_cycles;
-            acc.peak_in_flight = acc.peak_in_flight.max(s.peak_in_flight);
-            acc.total_latency += s.total_latency;
-        }
-        None => list.push((name.to_owned(), s.clone())),
-    }
-}
-
-fn merge_program(list: &mut Vec<(String, ProgramStats)>, name: &str, s: &ProgramStats) {
-    match list.iter_mut().find(|(n, _)| n == name) {
-        Some((_, acc)) => {
-            acc.invocations += s.invocations;
-            acc.total_latency += s.total_latency;
-            acc.icnt_cycles += s.icnt_cycles;
-        }
-        None => list.push((name.to_owned(), s.clone())),
-    }
-}
-
-/// Sums the stats of several sequential launches into one.
+/// Sums the stats of several sequential launches into one: every counter
+/// folds (see [`SimStats`]), and each launch's per-warp completion cycles
+/// are rebased onto the end of the launches before it and appended.
 pub fn sum_stats(parts: &[SimStats]) -> SimStats {
-    let mut total = SimStats::default();
-    for s in parts {
-        // Launches are sequential: rebase this part's per-warp completion
-        // cycles onto the end of the preceding parts before appending.
+    let Some((first, rest)) = parts.split_first() else {
+        return SimStats::default();
+    };
+    let mut total = first.clone();
+    for s in rest {
         let offset = total.cycles;
+        total.add(s);
         total
             .warp_completions
             .extend(s.warp_completions.iter().map(|c| c + offset));
-        total.warp_size = s.warp_size;
-        total.cycles += s.cycles;
-        total.warp_instrs += s.warp_instrs;
-        total.lane_instrs += s.lane_instrs;
-        total.mix.alu += s.mix.alu;
-        total.mix.control += s.mix.control;
-        total.mix.memory += s.mix.memory;
-        total.mix.traverse += s.mix.traverse;
-        total.flops += s.flops;
-        total.l1.hits += s.l1.hits;
-        total.l1.misses += s.l1.misses;
-        total.l1.mshr_merges += s.l1.mshr_merges;
-        total.l2.hits += s.l2.hits;
-        total.l2.misses += s.l2.misses;
-        total.l2.mshr_merges += s.l2.mshr_merges;
-        total.dram.bytes_read += s.dram.bytes_read;
-        total.dram.bytes_written += s.dram.bytes_written;
-        total.dram.bytes_requested += s.dram.bytes_requested;
-        total.dram.busy_channel_cycles += s.dram.busy_channel_cycles;
-        total.dram.transactions += s.dram.transactions;
-        total.dram_channels = s.dram_channels;
-        total.traversals_offloaded += s.traversals_offloaded;
-        total.sm_active_cycles += s.sm_active_cycles;
-        total.attribution.merge(&s.attribution);
     }
     total
 }
@@ -519,32 +463,6 @@ mod tests {
         let plus = Platform::TtaPlus(TtaPlusConfig::default_paper(), vec![]);
         assert_eq!(plus.label(), "TTA+");
         assert!(plus.has_accelerator());
-    }
-
-    #[test]
-    fn sum_stats_adds_fields() {
-        let mut a = SimStats {
-            cycles: 10,
-            warp_instrs: 5,
-            lane_instrs: 100,
-            ..Default::default()
-        };
-        a.mix.alu = 70;
-        a.dram.bytes_read = 1000;
-        let mut b = SimStats {
-            cycles: 20,
-            warp_instrs: 7,
-            lane_instrs: 150,
-            ..Default::default()
-        };
-        b.mix.alu = 90;
-        b.dram.bytes_read = 500;
-        let s = sum_stats(&[a, b]);
-        assert_eq!(s.cycles, 30);
-        assert_eq!(s.warp_instrs, 12);
-        assert_eq!(s.lane_instrs, 250);
-        assert_eq!(s.mix.alu, 160);
-        assert_eq!(s.dram.bytes_read, 1500);
     }
 
     #[test]
@@ -593,57 +511,5 @@ mod tests {
         e.gpu = GpuConfig::small_test();
         let accel = e.run().accel.expect("RTA run has an accelerator");
         assert!(accel.engine.prefetches > 0, "{:?}", accel.engine);
-    }
-
-    #[test]
-    fn merge_sums_every_counter_and_joins_by_name() {
-        let unit = |n| UnitStats {
-            invocations: n,
-            busy_cycles: n,
-            peak_in_flight: n as usize,
-            total_latency: n,
-        };
-        let program = |n| ProgramStats {
-            invocations: n,
-            total_latency: n,
-            icnt_cycles: n,
-        };
-        let report = |n: u64| AccelReport {
-            engine: EngineStats {
-                warps_accepted: n,
-                rays_completed: n,
-                node_fetches: n,
-                fetch_merges: n,
-                nodes_processed: n,
-                warp_buffer_accesses: n,
-                prefetches: n,
-                busy_cycles: n,
-            },
-            units: vec![("u".into(), unit(n))],
-            programs: vec![("p".into(), program(n))],
-            shader_lane_instructions: n,
-            traversals: n,
-        };
-        let mut a = report(2);
-        let mut b = report(3);
-        b.units.push(("v".into(), unit(1)));
-        a.merge(&b);
-        let five = report(5);
-        assert_eq!(a.engine, five.engine);
-        assert_eq!((a.shader_lane_instructions, a.traversals), (5, 5));
-        assert_eq!(
-            a.units,
-            vec![
-                (
-                    "u".into(),
-                    UnitStats {
-                        peak_in_flight: 3,
-                        ..unit(5)
-                    }
-                ),
-                ("v".into(), unit(1))
-            ]
-        );
-        assert_eq!(a.programs[0].1.invocations, 5);
     }
 }

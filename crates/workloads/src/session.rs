@@ -29,6 +29,7 @@ use rta::bvh_semantics::{
     read_ray_result, write_ray_record, BvhSemantics, LeafGeometry, RayQueryMode, RAY_RECORD_SIZE,
 };
 use rta::units::TestKind;
+use trace::fields::Writer;
 use trace::ChromeTraceSink;
 use trees::bvh::PrimitiveKind;
 use trees::BTreeFlavor;
@@ -121,10 +122,7 @@ fn export_core(key: &str, cursor: usize, parts: &[SimStats], gpu: &Gpu) -> State
     let mut bag = StateBag::new();
     bag.put_bytes("key", key.as_bytes().to_vec());
     bag.put_u64("cursor", cursor as u64);
-    bag.put_list(
-        "parts",
-        parts.iter().map(|s| SnapValue::Bag(s.to_bag())).collect(),
-    );
+    bag.records("parts", parts);
     bag.put_bag("gpu", gpu.export_state());
     bag
 }
@@ -145,14 +143,7 @@ fn import_core(
     gpu.import_state(bag.bag("gpu")?)?;
     let cursor = usize::try_from(bag.u64("cursor")?)
         .map_err(|_| BagError::Mismatch("cursor overflows usize".into()))?;
-    let parts = bag
-        .list("parts")?
-        .iter()
-        .map(|v| match v {
-            SnapValue::Bag(b) => SimStats::from_bag(b),
-            _ => Err(BagError::WrongKind("parts".into())),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let parts: Vec<SimStats> = bag.fields("parts")?;
     if parts.len() != cursor {
         return Err(BagError::Mismatch(format!(
             "snapshot has {} launch parts but cursor {cursor}",
@@ -160,17 +151,6 @@ fn import_core(
         )));
     }
     Ok((cursor, parts))
-}
-
-/// The `run()` tail shared by the query-chunked sessions: one launch keeps
-/// the historical raw-stats shape, several sum like the multi-launch
-/// workloads always have.
-fn fold_parts(mut parts: Vec<SimStats>) -> SimStats {
-    if parts.len() == 1 {
-        parts.pop().expect("one part")
-    } else {
-        sum_stats(&parts)
-    }
 }
 
 /// Runs a session to completion and harvests the result — the body every
@@ -277,7 +257,7 @@ impl BTreeExperiment {
 }
 
 impl BTreeSession {
-    fn into_result(mut self) -> RunResult {
+    fn into_result(self) -> RunResult {
         use tta::btree_sem::QUERY_RECORD_SIZE;
         assert!(self.cursor == self.chunks.len(), "session not done");
         if self.exp.verify {
@@ -304,7 +284,7 @@ impl BTreeSession {
                 self.exp.keys / 1000,
                 self.exp.platform.label()
             ),
-            stats: fold_parts(std::mem::take(&mut self.parts)),
+            stats: sum_stats(&self.parts),
             accel: harvest_accel(&self.gpu),
             serve: None,
             fleet: None,
@@ -454,7 +434,7 @@ impl RTreeExperiment {
 }
 
 impl RTreeSession {
-    fn into_result(mut self) -> RunResult {
+    fn into_result(self) -> RunResult {
         use tta::rtree_sem::QUERY_RECORD_SIZE;
         assert!(self.cursor == self.chunks.len(), "session not done");
         if self.exp.verify {
@@ -472,7 +452,7 @@ impl RTreeSession {
                 self.exp.rects / 1000,
                 self.exp.platform.label()
             ),
-            stats: fold_parts(std::mem::take(&mut self.parts)),
+            stats: sum_stats(&self.parts),
             accel: harvest_accel(&self.gpu),
             serve: None,
             fleet: None,
@@ -628,7 +608,7 @@ impl RtnnExperiment {
 }
 
 impl RtnnSession {
-    fn into_result(mut self) -> RunResult {
+    fn into_result(self) -> RunResult {
         use tta::radius_sem::QUERY_RECORD_SIZE;
         assert!(self.cursor == self.chunks.len(), "session not done");
         if self.exp.verify {
@@ -650,7 +630,7 @@ impl RtnnSession {
                 self.exp.points / 1000,
                 self.exp.platform.label()
             ),
-            stats: fold_parts(std::mem::take(&mut self.parts)),
+            stats: sum_stats(&self.parts),
             accel: harvest_accel(&self.gpu),
             serve: None,
             fleet: None,

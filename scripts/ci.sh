@@ -17,29 +17,33 @@
 #      (including the golden-trace and trace-invariant suites in
 #      tta-trace, and the shadow-checked soundness suite in
 #      tta-workloads)
-#   6. --quick smoke runs of the sweep binaries (fig15, the serving grid,
+#   6. cargo test --offline --manifest-path ttabench/Cargo.toml — the
+#      benchmark crate (its own workspace) builds against the public
+#      counter structs and workloads::runner::sum_stats; its self-tests
+#      run every workload once
+#   7. --quick smoke runs of the sweep binaries (fig15, the serving grid,
 #      and the fleet cluster grid — the latter two assert their own
 #      batching/routing claims internally), checking that each run
 #      journal lands under results/
-#   7. traced --quick sweeps (fig13 and the fleet grid), with every
+#   8. traced --quick sweeps (fig13 and the fleet grid), with every
 #      emitted Chrome trace validated by the tta-trace-check binary
-#   8. the snapshot/restore smoke: a cold --quick fig13 populates a
+#   9. the snapshot/restore smoke: a cold --quick fig13 populates a
 #      snapshot store, a warm --resume rerun restores every run's final
 #      state without re-simulating, and the two journals must be
 #      byte-identical; then tta-snap-bisect --diff proves one real
 #      TTA point restores and replays byte-identically at every step
 #      boundary
-#   9. a shadow- and race-checked --quick fig13 sweep (TTA_SHADOW_CHECK=1
+#  10. a shadow- and race-checked --quick fig13 sweep (TTA_SHADOW_CHECK=1
 #      TTA_RACE_CHECK=1): the runtime soundness gate asserting every
 #      register value and SIMT stack depth stays inside its static
 #      abstraction, and that no two warps conflict on a global-memory
 #      word within a launch
-#  10. every JSON artifact freshly written under results/ parses with
+#  11. every JSON artifact freshly written under results/ parses with
 #      the workspace's one JSON codec (the root `artifacts` test)
-#  11. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
-#      must parse against their schema; the wall-clock of step 9 must not
+#  12. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
+#      must parse against their schema; the wall-clock of step 10 must not
 #      regress more than 25% against the latest committed quick-shadow
-#      fig13 entry, and the untraced fleet smoke of step 6 not more than
+#      fig13 entry, and the untraced fleet smoke of step 7 not more than
 #      100% against the latest committed quick fleet entry (the fleet
 #      check runs inline after its smoke, before tracing overwrites the
 #      timing sidecar; record new entries with scripts/bench.sh)
@@ -119,6 +123,13 @@ run cargo test "${CARGO_FLAGS[@]}" -q
 # byte-identical journals at 1 vs 4 sweep threads).
 run cargo test "${CARGO_FLAGS[@]}" --workspace -q
 
+# The benchmark is a workspace of its own, so the steps above never build
+# it. Its lockfile holds only path dependencies; --offline is added unless
+# the caller already passed it (cargo rejects a repeated flag).
+TTABENCH_FLAGS=("${CARGO_FLAGS[@]}")
+[[ " ${CARGO_FLAGS[*]} " == *" --offline "* ]] || TTABENCH_FLAGS+=(--offline)
+run cargo test "${TTABENCH_FLAGS[@]}" --manifest-path ttabench/Cargo.toml
+
 # Smoke one sweep binary and verify the journal appears.
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig15 -- --quick --threads 2
 test -s results/fig15.journal.json || { echo "missing results/fig15.journal.json" >&2; exit 1; }
@@ -185,7 +196,7 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect --
 # static abstraction, or two warps conflicting on a global-memory word
 # within a launch, aborts the run. The sweep's own wall-clock (from the
 # timing sidecar, excluding cargo overhead) doubles as the
-# perf-trajectory measurement for step 11.
+# perf-trajectory measurement for step 12.
 echo "==> TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 fig13 --quick (soundness gate)"
 TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2
 

@@ -59,7 +59,11 @@ fn committed_run_journals_carry_the_current_schema() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         let doc = trace::json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        if doc.get("runs").and_then(trace::json::Value::as_array).is_none() {
+        if doc
+            .get("runs")
+            .and_then(trace::json::Value::as_array)
+            .is_none()
+        {
             continue;
         }
         assert_eq!(
